@@ -71,7 +71,9 @@ def cmd_infer(args) -> int:
     if seq.kind != "sparse_input":
         raise ValueError(f"{args.input}: infer expects a sparse_input sequence")
     weights = _weights_for(rc, args.weights)
-    chunk = args.chunk if args.chunk else rc.chunk
+    if args.chunk is not None and args.chunk < 1:
+        raise ValueError(f"--chunk must be a positive integer, got {args.chunk}")
+    chunk = rc.chunk if args.chunk is None else args.chunk
     pose = infer_windowed(seq.data, rc.model, weights, chunk=chunk)
     kio.save_sequence(args.out, kio.sequence_from_pose(pose, fps=seq.fps))
     print(f"inferred {pose.shape[0]} frames -> {args.out}")

@@ -9,6 +9,7 @@ The three scan orders linearize the 22-joint tree for sequence kernels:
   walks extremity-to-extremity with the root placed centrally.
 """
 
+import functools
 import importlib.resources
 from dataclasses import dataclass, field
 
@@ -184,19 +185,31 @@ def inverse_reorder_joint_features(features: np.ndarray, order: ScanOrder,
                                    direction: str = "forward") -> np.ndarray:
     """Scatter (..., len(order), D) scan-ordered features back to (..., J, D).
 
-    Joints visited multiple times (FKS) have their contributions summed;
-    for permutation orders this is the exact inverse of the gather.
+    Joints visited multiple times (FKS) have their contributions summed in
+    scan order; for permutation orders this is the exact inverse of the
+    gather.
     """
     features = np.asarray(features)
     if features.ndim < 2 or features.shape[-2] != len(order):
         raise ValueError(
             f"expected scan axis of length {len(order)}, got shape {features.shape}"
         )
-    seq = _direction_sequence(order, direction)
     out_shape = features.shape[:-2] + (order.num_joints, features.shape[-1])
     out = np.zeros(out_shape, dtype=features.dtype)
-    np.add.at(out, (..., seq, slice(None)), features)
+    # one add per visit rank; each joint sums its visits in scan order
+    for joints, positions in _visit_ranks(order, direction):
+        out[..., joints, :] += features[..., positions, :]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _visit_ranks(order: ScanOrder, direction: str) -> tuple:
+    """(joints, scan positions) per visit rank r: the positions that are a
+    joint's (r+1)-th visit. No joint repeats within a rank."""
+    seq = _direction_sequence(order, direction)
+    rank = np.tril(seq[:, None] == seq[None, :], -1).sum(axis=1)
+    return tuple((seq[rank == r], np.flatnonzero(rank == r))
+                 for r in range(rank.max() + 1))
 
 
 def _direction_sequence(order: ScanOrder, direction: str) -> np.ndarray:

@@ -9,8 +9,10 @@ with per-step scalar decay a_t, state dimension N and channel width P:
 * ``ssm_recurrence``   -- the literal left-to-right recurrence, O(T*N*P);
 * ``ssd_matrix_form``  -- multiplication by the lower-triangular
   semiseparable matrix M = F * (C B^T), O(T^2);
-* ``chunked_scan``     -- blockwise evaluation (intra-chunk quadratic form
-  plus inter-chunk state carry), O(T*chunk) per channel.
+* ``chunked_scan``     -- the chunk-batched SSD algorithm of Mamba-2 (Dao &
+  Gu, arXiv 2405.21060): every chunk's quadratic form and end state as one
+  batched matmul, then a short loop carrying the state across chunks,
+  O(T*chunk) per channel.
 
 All arithmetic is done in float64 regardless of input dtype so the three
 forms agree to tight tolerances.
@@ -99,21 +101,22 @@ def ssm_recurrence(params: SsdParams, h0: np.ndarray | None = None) -> np.ndarra
 
 
 def build_decay_matrix(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular (T, T) matrix of cumulative decay products.
+    """Lower-triangular matrices of cumulative decay products.
 
+    (..., T) decays give (..., T, T) matrices; leading axes are batched.
     F[j, i] = a_j * a_{j-1} * ... * a_{i+1} for i < j, 1 on the diagonal,
     0 above it. Row j is a_j times the previous row, which stays exact
     when some decays are zero (no division by cumulative products).
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("a must be a non-empty 1-D array")
-    t = a.shape[0]
-    f = np.zeros((t, t))
-    f[0, 0] = 1.0
+    if a.ndim == 0 or a.size == 0:
+        raise ValueError("a must be a non-empty array of decays along its last axis")
+    t = a.shape[-1]
+    f = np.zeros(a.shape + (t,))
+    f[..., 0, 0] = 1.0
     for j in range(1, t):
-        f[j, :j] = a[j] * f[j - 1, :j]
-        f[j, j] = 1.0
+        f[..., j, :j] = a[..., j, None] * f[..., j - 1, :j]
+        f[..., j, j] = 1.0
     return f
 
 
@@ -125,31 +128,43 @@ def ssd_matrix_form(params: SsdParams) -> np.ndarray:
 
 
 def chunked_scan(params: SsdParams, chunk: int = 16) -> np.ndarray:
-    """Blockwise scan: quadratic form inside each chunk of (up to) ``chunk``
-    steps, with the state carried across chunk boundaries.
+    """Chunk-batched scan with zero initial state; matches ``ssm_recurrence``.
 
-    Exactly matches ``ssm_recurrence`` with zero initial state; a trailing
-    chunk shorter than ``chunk`` is simply evaluated at its own length, and
-    a chunk size beyond the sequence length degrades to the matrix form.
+    The sequence is cut into k chunks of q = min(chunk, T) steps, the tail
+    padded with a = 1 and b = c = x = 0 so every chunk has the same shape.
+    One call builds all k decay blocks; the intra-chunk form
+    (F * C B^T) X and each chunk's end state are batched matmuls. A loop
+    over the k chunks carries the (N, P) state, and its read-out
+    (C * prefix) H is one more batched matmul.
     """
-    t, n, p = params.seq_len, params.state_dim, params.channels
+    t, p = params.seq_len, params.channels
     if not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
-    y = np.empty((t, p))
-    h = np.zeros((n, p))
-    for start in range(0, t, chunk):
-        end = min(start + chunk, t)
-        a = params.a[start:end]
-        b = params.b[start:end]
-        c = params.c[start:end]
-        x = params.x[start:end]
-        f = build_decay_matrix(a)
-        # Intra-chunk quadratic form plus the carried state decayed to each step.
-        prefix = np.cumprod(a)  # prefix[k] = a_start * ... * a_{start+k}
-        y[start:end] = (f * (c @ b.T)) @ x + (c * prefix[:, None]) @ h
-        # decay from step i to the chunk end is the last row of F
-        h = prefix[-1] * h + (f[-1][:, None] * b).T @ x
-    return y
+    q = min(int(chunk), t)
+    k = -(-t // q)
+    pad = k * q - t
+    # No copies when q divides T, and in-place updates below: every fresh
+    # megabyte of temporaries costs page faults, which at T=3072 took as
+    # long as the arithmetic.
+    a, b, c, x = params.a, params.b, params.c, params.x
+    if pad:
+        a = np.concatenate([a, np.ones(pad)])
+        b, c, x = (np.concatenate([m, np.zeros((pad, m.shape[1]))]) for m in (b, c, x))
+    a = a.reshape(k, q)
+    b, c, x = (m.reshape(k, q, -1) for m in (b, c, x))
+    f = build_decay_matrix(a)  # (k, q, q)
+    prefix = np.cumprod(a, axis=1)  # prefix[i, s] = a_{i,0} * ... * a_{i,s}
+    g = c @ b.swapaxes(1, 2)
+    g *= f
+    y = g @ x
+    # state at each chunk's end: what the chunk adds (decay from step s to
+    # the end is F's last row) plus the state carried in, decayed across it
+    h = (f[:, -1, :, None] * b).swapaxes(1, 2) @ x  # (k, N, P)
+    for i in range(1, k):
+        h[i] += prefix[i, -1] * h[i - 1]
+    # chunk 0 starts from the zero state, so only later chunks read one out
+    y[1:] += (c[1:] * prefix[1:, :, None]) @ h[:-1]
+    return y.reshape(k * q, p)[:t]
 
 
 def discretize_zoh(a_cont: float, b_cont: np.ndarray, dt: float) -> tuple[float, np.ndarray]:

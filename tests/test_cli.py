@@ -108,6 +108,18 @@ class TestInfer:
                      "--out", str(tmp_path / "o.txt")])
         assert code == 1
 
+    @pytest.mark.parametrize("chunk", ["0", "-3"])
+    def test_nonpositive_chunk_rejected(self, tmp_path, micro_cfg_path, capsys,
+                                        chunk):
+        inp = tmp_path / "in.txt"
+        main(["gen-synthetic", "--frames", "10", "--out", str(inp)])
+        out = tmp_path / "o.txt"
+        code = main(["infer", str(inp), "--config", micro_cfg_path,
+                     "--chunk", chunk, "--out", str(out)])
+        assert code == 1
+        assert "--chunk" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_self_comparison_near_zero(self, tmp_path, capsys):

@@ -141,6 +141,21 @@ class TestReorder:
         expected[[3, 6, 9]] = 3.0
         np.testing.assert_array_equal(counts, expected)
 
+    @pytest.mark.parametrize("order", [index_order(), uks_order(), fks_order()],
+                             ids=["index", "uks", "fks"])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("lead", [(), (7,)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scatter_matches_add_at_oracle_bitwise(self, rng, order, direction,
+                                                   lead, dtype):
+        feat = rng.standard_normal(lead + (len(order), 5)).astype(dtype)
+        seq = np.asarray(order.forward if direction == "forward" else order.backward)
+        oracle = np.zeros(lead + (22, 5), dtype=dtype)
+        np.add.at(oracle, (..., seq, slice(None)), feat)
+        got = inverse_reorder_joint_features(feat, order, direction)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, oracle)
+
     def test_wrong_axis_length_rejected(self, rng):
         with pytest.raises(ValueError):
             reorder_joint_features(rng.standard_normal((4, 21, 3)), uks_order())

@@ -115,6 +115,27 @@ class TestDecayMatrix:
             col = np.abs(f[i:, i])
             assert np.all(np.diff(col) <= 0)
 
+    def test_batched_equals_per_row_calls_bitwise(self, rng):
+        a = rng.uniform(0.0, 1.0, size=(6, 16))
+        a[:, 0] = 0.0  # resets at a chunk's first step
+        a[1::2, -1] = 0.0  # and at its last
+        a[2, 7] = 0.0
+        f = build_decay_matrix(a)
+        assert f.shape == (6, 16, 16)
+        for i in range(6):
+            assert np.array_equal(f[i], build_decay_matrix(a[i]))
+
+    def test_leading_axes_broadcast(self, rng):
+        a = rng.uniform(0.0, 1.0, size=(2, 3, 5))
+        f = build_decay_matrix(a)
+        assert f.shape == (2, 3, 5, 5)
+        assert np.array_equal(f[1, 2], build_decay_matrix(a[1, 2]))
+
+    def test_scalar_and_empty_rejected(self):
+        for bad in (np.float64(0.5), np.zeros(0), np.zeros((3, 0))):
+            with pytest.raises(ValueError):
+                build_decay_matrix(bad)
+
 
 class TestMatrixForm:
     def test_zero_decay_is_diagonal_only(self, rng):
@@ -157,6 +178,34 @@ class TestChunkedScan:
         base = ssm_recurrence(p)
         for chunk in (2, 5, 7, 13, 30, 111):
             assert np.abs(chunked_scan(p, chunk=chunk) - base).max() <= 1e-6
+
+    @pytest.mark.parametrize("t,n,p", [(96, 16, 256), (2112, 16, 64),
+                                       (3072, 16, 64), (528, 4, 4)],
+                             ids=["T96xP256", "T2112xP64", "T3072xP64", "T528xP4"])
+    def test_model_shapes_match_recurrence(self, t, n, p):
+        params = random_params(make_rng(t), t, n, p)
+        y = ssm_recurrence(params)
+        err = np.abs(chunked_scan(params, chunk=16) - y).max()
+        assert err <= 1e-12 * np.abs(y).max()
+
+    @pytest.mark.parametrize("t,chunk", [(97, 16), (2111, 16), (45, 16), (40, 1),
+                                         (40, 40), (40, 41), (40, 1000)])
+    def test_ragged_lengths_match_recurrence(self, t, chunk):
+        params = random_params(make_rng(t + chunk), t, 4, 3)
+        q = min(chunk, t)
+        params.a[(t // q) * q:][::3] = 0.0  # resets inside the padded last chunk
+        params.a[q - 1] = 0.0
+        y = ssm_recurrence(params)
+        err = np.abs(chunked_scan(params, chunk=chunk) - y).max()
+        assert err <= 1e-12 * np.abs(y).max()
+
+    @pytest.mark.parametrize("t", [32, 37])
+    def test_inputs_left_unmodified(self, rng, t):
+        p = random_params(rng, t, 3, 2)
+        before = [m.copy() for m in (p.a, p.b, p.c, p.x)]
+        chunked_scan(p, chunk=8)
+        for m, m0 in zip((p.a, p.b, p.c, p.x), before):
+            assert np.array_equal(m, m0)
 
     def test_invalid_chunk_rejected(self, rng):
         p = random_params(rng, 10, 2, 1)
