@@ -14,7 +14,6 @@ from kinescan.ssd import (
     SsdParams,
     build_decay_matrix,
     chunked_scan,
-    discretize_zoh,
     ssd_matrix_form,
     ssm_recurrence,
 )
@@ -43,7 +42,7 @@ f = build_decay_matrix(np.array([0.9, 0.7, 0.4]))
 print("\ndecay matrix for a = [0.9, 0.7, 0.4]:")
 print(f)
 
-# zero-order hold: how continuous (a, b) become the discrete coefficients;
-# the a -> 0 limit degrades gracefully to b * dt
-print("\nZOH of a=-2.0, b=[3.0], dt=0.5 :", discretize_zoh(-2.0, np.array([3.0]), 0.5))
-print("ZOH of a= 0.0, b=[3.0], dt=0.5 :", discretize_zoh(0.0, np.array([3.0]), 0.5))
+# the model's decay is a zero-order hold with A = -1 and step
+# dt = softplus(raw): a_t = exp(-dt) lies in (0, 1) for any raw input
+raw = np.array([-4.0, 0.0, 4.0])
+print("\ndecays for raw = [-4, 0, 4]:", np.exp(-np.logaddexp(0.0, raw)))

@@ -14,7 +14,6 @@ import numpy as np
 from kinescan.kinematics import (
     SMPL_JOINT_NAMES,
     default_tree,
-    fks_branch_starts,
     fks_order,
     forward_kinematics,
     uks_order,
@@ -27,12 +26,13 @@ print("joints:", ", ".join(SMPL_JOINT_NAMES[:8]), "...")
 print("parent pointers:", tree.parent)
 
 fks = fks_order()
-print("\nFKS,", len(fks), "entries; branches start at", fks_branch_starts())
+starts = [k for k, j in enumerate(fks.forward) if j == 0]
+print("\nFKS,", len(fks), "entries; branches start at", starts)
 print(" ", fks.forward)
 uks = uks_order()
 print("UKS,", len(uks), "entries; root sits at position", uks.forward.index(0))
 print(" ", uks.forward)
-print("backward pass is the exact reverse:", uks.backward[:6], "...")
+print("the backward branch scans the flattened (frame, joint) axis reversed")
 
 # rest pose: every local rotation is the identity, so joint positions are
 # the running sums of bone offsets

@@ -30,7 +30,6 @@ from .losses import (
     LossWeights,
     angular_velocity,
     grad_total_loss,
-    loss_angvel_diff,
     loss_angvel_geo,
     loss_ori,
     loss_pos,
@@ -66,7 +65,6 @@ from .ssd import (
     SsdParams,
     build_decay_matrix,
     chunked_scan,
-    discretize_zoh,
     ssd_matrix_form,
     ssm_recurrence,
 )

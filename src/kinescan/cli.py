@@ -13,7 +13,8 @@ import numpy as np
 from . import io as kio
 from .bench import format_bench_table, run_benchmark
 from .kinematics import default_tree, fks_order, index_order, uks_order
-from .model import infer_windowed, init_weights
+from .model import check_weights, infer_windowed, init_weights
+from .rotations import DegenerateRotationError, sixd_to_matrix
 from .synthetic import gen_synthetic, sparse_from_pose
 from .training import smoothed_trace, train_micro
 from .verify import run_all
@@ -49,28 +50,16 @@ def _load_run_config(path):
     return kio.load_run_config(path) if path else kio.RunConfig()
 
 
-def _weights_for(rc, weights_path):
-    reference = init_weights(rc.model)
-    if weights_path is None:
-        return reference
-    loaded = kio.load_checkpoint(weights_path)
-    if set(loaded) != set(reference):
-        raise ValueError(f"{weights_path}: tensor names do not match the config")
-    for name, tensor in loaded.items():
-        if tensor.shape != reference[name].shape:
-            raise ValueError(
-                f"{weights_path}: tensor {name!r} has shape {tensor.shape}, "
-                f"config expects {reference[name].shape}"
-            )
-    return loaded
-
-
 def cmd_infer(args) -> int:
     rc = _load_run_config(args.config)
     seq = kio.load_sequence(args.input)
     if seq.kind != "sparse_input":
         raise ValueError(f"{args.input}: infer expects a sparse_input sequence")
-    weights = _weights_for(rc, args.weights)
+    if args.weights is None:
+        weights = init_weights(rc.model)
+    else:
+        weights = kio.load_checkpoint(args.weights)
+        check_weights(rc.model, weights, args.weights)
     if args.chunk is not None and args.chunk < 1:
         raise ValueError(f"--chunk must be a positive integer, got {args.chunk}")
     chunk = rc.chunk if args.chunk is None else args.chunk
@@ -93,7 +82,17 @@ def cmd_eval(args) -> int:
     pose_y, root_y = kio.pose_from_sequence(pred_seq)
     pose_z, root_z = kio.pose_from_sequence(gt_seq)
     fps = args.fps if args.fps else gt_seq.fps
-    report = metrics(pose_y, pose_z, tree, fps=fps, root_y=root_y, root_z=root_z)
+    try:
+        report = metrics(pose_y, pose_z, tree, fps=fps, root_y=root_y, root_z=root_z)
+    except DegenerateRotationError:
+        # the error does not say which input it came from; convert each alone
+        for path, pose in ((args.pred, pose_y), (args.gt, pose_z)):
+            try:
+                sixd_to_matrix(pose)
+            except DegenerateRotationError as exc:
+                frame, joint = exc.index
+                raise ValueError(f"{path}: frame {frame}, joint {joint}: {exc}") from None
+        raise
     text = kio.format_metric_report(report)
     print(text, end="")
     if args.out:

@@ -4,6 +4,7 @@ All text formats write floats with 9 significant digits, which round-trips
 32-bit values exactly, so parse(serialize(x)) == x bitwise for valid x.
 """
 
+import math
 import struct
 from dataclasses import dataclass, fields
 
@@ -29,7 +30,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "format_metric_report",
-    "metric_report_tsv",
 ]
 
 _SEQ_MAGIC = "#kinescan-sequence v1"
@@ -102,25 +102,42 @@ def load_sequence(path) -> Sequence:
         key, _, value = line[1:].partition(" ")
         header[key] = value
         body_start += 1
-    for key in ("kind", "frames", "columns", "fps"):
-        if key not in header:
-            raise ValueError(f"{path}: missing header field {key!r}")
-    kind = header["kind"]
-    frames = int(header["frames"])
-    columns = int(header["columns"])
-    fps = float(header["fps"])
-    body = [line for line in lines[body_start:] if line.strip()]
+    kind = _header_field(path, header, "kind", str)
+    frames = _header_field(path, header, "frames", int)
+    columns = _header_field(path, header, "columns", int)
+    fps = _header_field(path, header, "fps", float)
+    # (1-based line number, text) of each non-blank body line
+    body = [(n, line) for n, line in enumerate(lines, start=1)
+            if n > body_start and line.strip()]
     if len(body) != frames:
         raise ValueError(f"{path}: header says {frames} frames, found {len(body)}")
-    data = np.empty((frames, columns), dtype=np.float32)
-    for i, line in enumerate(body):
+    # rows are checked before any array exists, so no header value sizes one
+    rows = []
+    for i, (n, line) in enumerate(body):
         parts = line.split()
         if len(parts) != columns:
             raise ValueError(
-                f"{path}: frame {i} has {len(parts)} columns, expected {columns}"
+                f"{path}:{n}: frame {i} has {len(parts)} columns, expected {columns}"
             )
-        data[i] = [float(p) for p in parts]
-    return Sequence(kind=kind, data=data, fps=fps)
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: frame {i}: {exc}") from None
+    try:
+        return Sequence(kind=kind, data=np.array(rows, dtype=np.float32), fps=fps)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _header_field(path, header, key, conv):
+    if key not in header:
+        raise ValueError(f"{path}: missing header field {key!r}")
+    try:
+        return conv(header[key])
+    except ValueError:
+        raise ValueError(
+            f"{path}: header field {key!r} is not a valid {conv.__name__}: {header[key]!r}"
+        ) from None
 
 
 def sequence_from_pose(pose: np.ndarray, root: np.ndarray = None,
@@ -179,21 +196,11 @@ class RunConfig:
             raise ValueError("chunk must be a positive integer")
 
 
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False}
-
-
-def _parse_bool(s: str) -> bool:
-    try:
-        return _BOOL_WORDS[s.lower()]
-    except KeyError:
-        raise ValueError(f"expected true/false, got {s!r}") from None
-
-
 # key -> (target, converter); targets: model / loss / top-level
 _CONFIG_KEYS = {}
 for _f in fields(ModelConfig):
     _tname = _f.type if isinstance(_f.type, str) else _f.type.__name__
-    _CONFIG_KEYS[_f.name] = ("model", {"int": int, "str": str, "bool": _parse_bool}[_tname])
+    _CONFIG_KEYS[_f.name] = ("model", {"int": int, "str": str}[_tname])
 for _f in fields(LossWeights):
     _CONFIG_KEYS[_f.name] = ("loss", float)
 _CONFIG_KEYS["fps"] = ("top", float)
@@ -203,10 +210,7 @@ _CONFIG_KEYS["chunk"] = ("top", int)
 def save_run_config(path, rc: RunConfig) -> None:
     lines = []
     for f in fields(ModelConfig):
-        v = getattr(rc.model, f.name)
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        lines.append(f"{f.name}={v}")
+        lines.append(f"{f.name}={getattr(rc.model, f.name)}")
     for f in fields(LossWeights):
         lines.append(f"{f.name}={_fmt(getattr(rc.loss, f.name))}")
     lines.append(f"fps={_fmt(rc.fps)}")
@@ -288,11 +292,14 @@ def load_checkpoint(path) -> dict:
     weights = {}
     for _ in range(count):
         (name_len,) = take("<I")
-        name = blob[off : off + name_len].decode("utf-8")
+        try:
+            name = blob[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: tensor name at byte {off} is not valid UTF-8") from None
         off += name_len
         (rank,) = take("<I")
-        dims = take(f"<{rank}I") if rank else ()
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        dims = take(f"<{rank}I")
+        n = math.prod(dims)  # exact: huge dims fail the size check, not wrap
         nbytes = 4 * n
         if off + nbytes > len(blob):
             raise ValueError(f"{path}: truncated tensor {name!r}")
@@ -319,11 +326,3 @@ def format_metric_report(report: MetricReport) -> str:
             lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
 
-
-def metric_report_tsv(report: MetricReport) -> str:
-    keys = [k for k, _ in report.items()]
-    vals = [
-        "n/a" if v is None else (_fmt(v) if isinstance(v, float) else str(v))
-        for _, v in report.items()
-    ]
-    return "\t".join(keys) + "\n" + "\t".join(vals) + "\n"

@@ -24,7 +24,6 @@ __all__ = [
     "index_order",
     "fks_order",
     "uks_order",
-    "fks_branch_starts",
     "reorder_joint_features",
     "inverse_reorder_joint_features",
     "forward_kinematics",
@@ -121,7 +120,8 @@ class KinematicTree:
 
 @dataclass(frozen=True)
 class ScanOrder:
-    """A joint visitation order; backward is the exact reverse of forward."""
+    """A joint visitation order. The model's backward branch scans the
+    flattened (frame, joint) axis reversed, so only ``forward`` is stored."""
 
     forward: tuple
     num_joints: int = NUM_JOINTS
@@ -134,10 +134,6 @@ class ScanOrder:
         if any(not 0 <= j < self.num_joints for j in forward):
             raise ValueError("scan order contains out-of-range joint indices")
         object.__setattr__(self, "forward", forward)
-
-    @property
-    def backward(self) -> tuple:
-        return self.forward[::-1]
 
     def __len__(self) -> int:
         return len(self.forward)
@@ -158,31 +154,20 @@ def uks_order() -> ScanOrder:
     return ScanOrder(_UKS_FORWARD)
 
 
-def fks_branch_starts(order: ScanOrder = None) -> tuple:
-    """Positions where an FKS branch begins (each reappearance of joint 0)."""
-    forward = (order or fks_order()).forward
-    root = forward[0]
-    return tuple(k for k, j in enumerate(forward) if j == root)
-
-
-def reorder_joint_features(features: np.ndarray, order: ScanOrder,
-                           direction: str = "forward") -> np.ndarray:
+def reorder_joint_features(features: np.ndarray, order: ScanOrder) -> np.ndarray:
     """Gather (..., J, D) joint features into scan order along the joint axis.
 
-    Pure gather: output[..., k, :] = features[..., seq[k], :] where seq is
-    order.forward or order.backward.
+    Pure gather: output[..., k, :] = features[..., order.forward[k], :].
     """
     features = np.asarray(features)
     if features.ndim < 2 or features.shape[-2] != order.num_joints:
         raise ValueError(
             f"expected joint axis of length {order.num_joints}, got shape {features.shape}"
         )
-    seq = _direction_sequence(order, direction)
-    return features[..., seq, :]
+    return features[..., order.forward, :]
 
 
-def inverse_reorder_joint_features(features: np.ndarray, order: ScanOrder,
-                                   direction: str = "forward") -> np.ndarray:
+def inverse_reorder_joint_features(features: np.ndarray, order: ScanOrder) -> np.ndarray:
     """Scatter (..., len(order), D) scan-ordered features back to (..., J, D).
 
     Joints visited multiple times (FKS) have their contributions summed in
@@ -197,27 +182,19 @@ def inverse_reorder_joint_features(features: np.ndarray, order: ScanOrder,
     out_shape = features.shape[:-2] + (order.num_joints, features.shape[-1])
     out = np.zeros(out_shape, dtype=features.dtype)
     # one add per visit rank; each joint sums its visits in scan order
-    for joints, positions in _visit_ranks(order, direction):
+    for joints, positions in _visit_ranks(order):
         out[..., joints, :] += features[..., positions, :]
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _visit_ranks(order: ScanOrder, direction: str) -> tuple:
+def _visit_ranks(order: ScanOrder) -> tuple:
     """(joints, scan positions) per visit rank r: the positions that are a
     joint's (r+1)-th visit. No joint repeats within a rank."""
-    seq = _direction_sequence(order, direction)
+    seq = np.asarray(order.forward)
     rank = np.tril(seq[:, None] == seq[None, :], -1).sum(axis=1)
     return tuple((seq[rank == r], np.flatnonzero(rank == r))
                  for r in range(rank.max() + 1))
-
-
-def _direction_sequence(order: ScanOrder, direction: str) -> np.ndarray:
-    if direction == "forward":
-        return np.asarray(order.forward)
-    if direction == "backward":
-        return np.asarray(order.backward)
-    raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
 
 def forward_kinematics(pose: np.ndarray, tree: KinematicTree,

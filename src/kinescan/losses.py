@@ -17,9 +17,11 @@ import numpy as np
 from .kinematics import KinematicTree, forward_kinematics
 from .rotations import (
     geodesic_angle,
+    hat,
     matrix_to_log,
     relative_rotation,
     sixd_to_matrix,
+    vee,
 )
 
 __all__ = [
@@ -28,14 +30,14 @@ __all__ = [
     "loss_ori",
     "angular_velocity",
     "loss_angvel_geo",
-    "loss_angvel_diff",
     "loss_pos",
     "loss_vel",
     "total_loss",
     "grad_total_loss",
 ]
 
-# gradient precondition: velocity rotation angles this far from {0, pi}
+# velocity angles below this take the log map's Taylor branch; within it
+# of pi the gradient is undefined
 _THETA_MARGIN = 1e-5
 
 
@@ -94,17 +96,6 @@ def loss_angvel_geo(y: np.ndarray, z: np.ndarray) -> float:
     return float(np.abs(wz - wy).sum(axis=-1).mean(axis=-1).sum())
 
 
-def loss_angvel_diff(y: np.ndarray, z: np.ndarray) -> float:
-    """First-order baseline: sum over steps of the L1 norm between raw 6D
-    frame differences (all J*6 components)."""
-    y, z = _check_pair(y, z)
-    if y.shape[0] < 2:
-        raise ValueError("need at least two frames")
-    dy = np.diff(y, axis=0)
-    dz = np.diff(z, axis=0)
-    return float(np.abs(dz - dy).reshape(dy.shape[0], -1).sum(axis=-1).sum())
-
-
 def _fk_positions(p, tree, root):
     if root is not None:
         root = np.asarray(root, dtype=np.float64)
@@ -149,46 +140,35 @@ def total_loss(y: np.ndarray, z: np.ndarray,
 # analytic gradient
 
 
-def _hat(v):
-    """Batched cross-product matrices [v]x for (..., 3) input."""
-    o = np.zeros_like(v[..., 0])
-    return np.stack(
-        [
-            np.stack([o, -v[..., 2], v[..., 1]], axis=-1),
-            np.stack([v[..., 2], o, -v[..., 0]], axis=-1),
-            np.stack([-v[..., 1], v[..., 0], o], axis=-1),
-        ],
-        axis=-2,
-    )
-
-
 def _log_map_adjoint(v, grad_w):
-    """Map d loss/d omega (..., 3) to d loss/d V (..., 3, 3) for omega = log V.
+    """Map d loss/d omega (L-1, J, 3) to d loss/d V (L-1, J, 3, 3) for
+    omega = log V.
 
-    omega = k(theta) * s with s the skew vector of V and k = theta/(2 sin
-    theta), so dL/dV = k [u]x - (u.s) k'(theta) / (2 sin theta) * I with
-    u = grad_w. Valid only away from theta in {0, pi}.
+    omega = k(theta) * s with s = vee(V - V^T) and k = theta/(2 sin theta),
+    so dL/dV = k [u]x - (u.s) k'(theta) / (2 sin theta) * I with u = grad_w.
+    Below theta = 1e-5 both coefficients take their Taylor series,
+    k = 1/2 + theta^2/12 and k'/(2 sin theta) = 1/12 + theta^2/30. Within
+    1e-5 of pi the log map has no derivative and this raises.
     """
     theta = geodesic_angle(v)
-    if np.any(theta < _THETA_MARGIN) or np.any(theta > np.pi - _THETA_MARGIN):
+    near_pi = theta > np.pi - _THETA_MARGIN
+    if np.any(near_pi):
+        step, joint = np.argwhere(near_pi)[0]
         raise ValueError(
-            "gradient undefined: a frame-to-frame rotation angle is within "
-            f"{_THETA_MARGIN} of 0 or pi"
+            f"gradient undefined: joint {joint} turns within {_THETA_MARGIN} "
+            f"of pi between frames {step} and {step + 1}"
         )
-    s = np.stack(
-        [
-            v[..., 2, 1] - v[..., 1, 2],
-            v[..., 0, 2] - v[..., 2, 0],
-            v[..., 1, 0] - v[..., 0, 1],
-        ],
-        axis=-1,
-    )
-    sin_t = np.sin(theta)
-    k = theta / (2.0 * sin_t)
-    dk = (sin_t - theta * np.cos(theta)) / (2.0 * sin_t ** 2)
+    s = vee(v - np.swapaxes(v, -1, -2))
     u_dot_s = np.sum(grad_w * s, axis=-1)
-    coef = u_dot_s * dk / (-2.0 * sin_t)
-    return k[..., None, None] * _hat(grad_w) + coef[..., None, None] * np.eye(3)
+    small = theta < _THETA_MARGIN
+    t2 = theta ** 2
+    sin_t = np.sin(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(small, 0.5 + t2 / 12.0, theta / (2.0 * sin_t))
+        dk = (sin_t - theta * np.cos(theta)) / (2.0 * sin_t ** 2)
+        coef = np.where(small, -u_dot_s * (1.0 / 12.0 + t2 / 30.0),
+                        u_dot_s * dk / (-2.0 * sin_t))
+    return k[..., None, None] * hat(grad_w) + coef[..., None, None] * np.eye(3)
 
 
 def _gram_schmidt_with_jacobian(r):
@@ -211,8 +191,8 @@ def _gram_schmidt_with_jacobian(r):
     j_b2_u = (eye - outer(b2, b2)) / nu[..., None]
     j_b2_a1 = j_b2_u @ j_u_a1
     j_b2_a2 = j_b2_u @ j_u_a2
-    hat_b1 = _hat(b1)
-    hat_b2 = _hat(b2)
+    hat_b1 = hat(b1)
+    hat_b2 = hat(b2)
     j_b3_a1 = -hat_b2 @ j_b1_a1 + hat_b1 @ j_b2_a1
     j_b3_a2 = hat_b1 @ j_b2_a2
 
@@ -233,7 +213,8 @@ def grad_total_loss(y: np.ndarray, z: np.ndarray,
 
     Chains through Gram-Schmidt, the relative rotation V_t = R_{t-1}^T R_t,
     and the SO(3) log map. L1 kinks contribute subgradient 0 at exact zeros.
-    Requires every predicted velocity angle in (1e-5, pi - 1e-5).
+    Still joints are fine; a predicted velocity angle within 1e-5 of pi
+    raises ValueError naming the joint and frames.
     """
     y, z = _check_pair(y, z)
     length, joints, _ = y.shape

@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .kinematics import KinematicTree, forward_kinematics
+from .losses import _check_pair
 from .rotations import geodesic_angle, relative_rotation, sixd_to_matrix
 
 __all__ = [
@@ -74,12 +75,7 @@ def metrics(y: np.ndarray, z: np.ndarray, tree: KinematicTree,
     Root translations default to the origin; pass them to include global
     trajectory error in the positional metrics.
     """
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if y.shape != z.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {z.shape}")
-    if y.ndim != 3 or y.shape[-1] != 6:
-        raise ValueError(f"expected (L, J, 6) pose sequences, got {y.shape}")
+    y, z = _check_pair(y, z)
     if y.shape[0] < 2:
         raise ValueError("need at least two frames")
     if fps <= 0:

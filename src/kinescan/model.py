@@ -34,6 +34,7 @@ __all__ = [
     "ModelConfig",
     "MICRO_CONFIG_KWARGS",
     "init_weights",
+    "check_weights",
     "parameter_count",
     "embed",
     "ssd_block",
@@ -72,8 +73,6 @@ class ModelConfig:
     conv_width: int = 4
     scan_strategy: str = "uks"
     seed: int = 0
-    tie_bidirectional: bool = False
-    gma_positional: bool = False
 
     def __post_init__(self):
         if self.joints != 22:
@@ -231,11 +230,21 @@ def init_weights(config: ModelConfig) -> dict:
             bound = 1.0 / np.sqrt(float(init))
             t = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         weights[name] = t
-    if config.tie_bidirectional:
-        for name in list(weights):
-            if ".bwd." in name:
-                weights[name] = weights[name.replace(".bwd.", ".fwd.")].copy()
     return weights
+
+
+def check_weights(config: ModelConfig, weights: dict, source) -> None:
+    """Raise ValueError, naming ``source``, unless ``weights`` has exactly
+    the tensor names and shapes that ``init_weights(config)`` would draw."""
+    expected = {name: shape for name, shape, _ in _weight_plan(config)}
+    if set(weights) != set(expected):
+        raise ValueError(f"{source}: tensor names do not match the config")
+    for name, tensor in weights.items():
+        if tensor.shape != expected[name]:
+            raise ValueError(
+                f"{source}: tensor {name!r} has shape {tensor.shape}, "
+                f"config expects {expected[name]}"
+            )
 
 
 def parameter_count(weights: dict) -> int:
@@ -328,28 +337,14 @@ def lma(f: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
     return _silu(z @ weights[prefix + "conv.weight"] + weights[prefix + "conv.bias"])
 
 
-def _sinusoidal_encoding(length, width, dtype=np.float32):
-    pos = np.arange(length)[:, None]
-    i = np.arange((width + 1) // 2)[None, :]
-    angle = pos / np.power(10000.0, 2.0 * i / width)
-    enc = np.zeros((length, width), dtype=np.float64)
-    enc[:, 0::2] = np.sin(angle)
-    enc[:, 1::2] = np.cos(angle[:, : width // 2])
-    return enc.astype(dtype)
-
-
-def gma(f: np.ndarray, weights: dict, prefix: str, heads: int,
-        positional: bool = False, return_attention: bool = False):
+def gma(f: np.ndarray, weights: dict, prefix: str, heads: int) -> np.ndarray:
     """Global aggregation: in-projection, then pre-LN single-layer multi-head
     self-attention and a SiLU feed-forward, each with a residual connection.
 
-    Without positional encoding (the default) the block is permutation
-    equivariant over frames.
+    There is no positional encoding, so the block is permutation equivariant
+    over frames.
     """
     g = f @ weights[prefix + "in.weight"] + weights[prefix + "in.bias"]
-    if positional:
-        g = g + _sinusoidal_encoding(g.shape[0], g.shape[1], dtype=g.dtype)
-
     z = _layer_norm(g, weights[prefix + "ln1.scale"], weights[prefix + "ln1.bias"])
     q = z @ weights[prefix + "q.weight"] + weights[prefix + "q.bias"]
     k = z @ weights[prefix + "k.weight"] + weights[prefix + "k.bias"]
@@ -369,10 +364,7 @@ def gma(f: np.ndarray, weights: dict, prefix: str, heads: int,
 
     z = _layer_norm(g, weights[prefix + "ln2.scale"], weights[prefix + "ln2.bias"])
     ff = _silu(z @ weights[prefix + "ffn1.weight"] + weights[prefix + "ffn1.bias"])
-    out = g + (ff @ weights[prefix + "ffn2.weight"] + weights[prefix + "ffn2.bias"])
-    if return_attention:
-        return out, att
-    return out
+    return g + (ff @ weights[prefix + "ffn2.weight"] + weights[prefix + "ffn2.bias"])
 
 
 def tfm_forward(p: np.ndarray, weights: dict, prefix: str, config: ModelConfig,
@@ -380,8 +372,7 @@ def tfm_forward(p: np.ndarray, weights: dict, prefix: str, config: ModelConfig,
     """Temporal flow module: GMA(LMA(f_f + f_b))."""
     f_f, f_b = bi_ssd(p, weights, prefix, chunk=chunk)
     t = lma(f_f + f_b, weights, prefix + "lma.")
-    return gma(t, weights, prefix + "gma.", config.gma_heads,
-               positional=config.gma_positional)
+    return gma(t, weights, prefix + "gma.", config.gma_heads)
 
 
 def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
@@ -402,17 +393,16 @@ def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
             f"mixed hidden {h.shape[1]} does not match J*D = {config.mixed_hidden}"
         )
     s = h.reshape(length, config.joints, config.joint_dim)
-    flat = reorder_joint_features(s, order, "forward").reshape(
+    flat = reorder_joint_features(s, order).reshape(
         length * len(order), config.joint_dim
     )
     f_f, f_b = bi_ssd(flat, weights, prefix, chunk=chunk)
     mixed = (f_f + f_b).reshape(length, len(order), config.joint_dim)
-    s_out = inverse_reorder_joint_features(mixed, order, "forward")
+    s_out = inverse_reorder_joint_features(mixed, order)
     e = s_out.reshape(length, config.mixed_hidden) @ weights[prefix + "out.weight"]
     e = e + weights[prefix + "out.bias"]
     e = lma(e, weights, prefix + "lma.")
-    return gma(e, weights, prefix + "gma.", config.gma_heads,
-               positional=config.gma_positional)
+    return gma(e, weights, prefix + "gma.", config.gma_heads)
 
 
 def infer_windowed(x: np.ndarray, config: ModelConfig, weights: dict,

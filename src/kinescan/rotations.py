@@ -9,6 +9,8 @@ import numpy as np
 
 __all__ = [
     "DegenerateRotationError",
+    "hat",
+    "vee",
     "sixd_to_matrix",
     "matrix_to_sixd",
     "matrix_to_log",
@@ -27,7 +29,16 @@ _NEAR_PI = 1e-4
 
 class DegenerateRotationError(ValueError):
     """Raised for 6D inputs with no well-defined orthonormalization or
-    matrices that are not rotations."""
+    matrices that are not rotations. ``index`` holds the leading-axis
+    index of the first degenerate 6D value, () when there is none."""
+
+    def __init__(self, message, index=()):
+        super().__init__(message)
+        self.index = index
+
+
+def _first(mask):
+    return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
 def sixd_to_matrix(r: np.ndarray) -> np.ndarray:
@@ -42,13 +53,16 @@ def sixd_to_matrix(r: np.ndarray) -> np.ndarray:
     a1 = r[..., 0:3]
     a2 = r[..., 3:6]
     n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
-    if np.any(n1 < _GS_EPS):
-        raise DegenerateRotationError("first 6D vector has near-zero norm")
+    bad = n1[..., 0] < _GS_EPS
+    if np.any(bad):
+        raise DegenerateRotationError("first 6D vector has near-zero norm", _first(bad))
     b1 = a1 / n1
     u = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
     nu = np.linalg.norm(u, axis=-1, keepdims=True)
-    if np.any(nu < _GS_EPS):
-        raise DegenerateRotationError("second 6D vector is near-parallel to the first")
+    bad = nu[..., 0] < _GS_EPS
+    if np.any(bad):
+        raise DegenerateRotationError("second 6D vector is near-parallel to the first",
+                                      _first(bad))
     b2 = u / nu
     b3 = np.cross(b1, b2)
     return np.stack([b1, b2, b3], axis=-1)
@@ -77,25 +91,32 @@ def validate_rotation(m: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return m
 
 
-def _skew_vector(v: np.ndarray) -> np.ndarray:
-    """(V32 - V23, V13 - V31, V21 - V12) for (..., 3, 3) input."""
+def hat(w: np.ndarray) -> np.ndarray:
+    """Cross-product matrices [w]x of (..., 3) vectors, so [w]x u = w x u."""
+    o = np.zeros_like(w[..., 0])
     return np.stack(
         [
-            v[..., 2, 1] - v[..., 1, 2],
-            v[..., 0, 2] - v[..., 2, 0],
-            v[..., 1, 0] - v[..., 0, 1],
+            np.stack([o, -w[..., 2], w[..., 1]], axis=-1),
+            np.stack([w[..., 2], o, -w[..., 0]], axis=-1),
+            np.stack([-w[..., 1], w[..., 0], o], axis=-1),
         ],
-        axis=-1,
+        axis=-2,
     )
+
+
+def vee(k: np.ndarray) -> np.ndarray:
+    """(K32, K13, K21) of (..., 3, 3) matrices; the inverse of ``hat`` on
+    skew-symmetric input. ``vee(V - V^T)`` is the skew vector of V."""
+    return np.stack([k[..., 2, 1], k[..., 0, 2], k[..., 1, 0]], axis=-1)
 
 
 def matrix_to_log(v: np.ndarray, validate: bool = True) -> np.ndarray:
     """Axis-angle logarithm of (..., 3, 3) rotations, canonical |w| <= pi.
 
-    The generic formula w = theta/(2 sin theta) * skew_vector(V) is singular
+    The generic formula w = theta/(2 sin theta) * vee(V - V^T) is singular
     at theta = 0 and theta = pi, so:
 
-    * theta < 1e-6: w = skew_vector(V)/2 (leading term of the expansion);
+    * theta < 1e-6: w = vee(V - V^T)/2 (leading term of the expansion);
     * pi - theta < 1e-4: axis recovered from the dominant diagonal of the
       symmetric part, sign fixed by the largest skew component (an exact
       half-turn picks the sign making the first nonzero axis entry positive).
@@ -104,7 +125,7 @@ def matrix_to_log(v: np.ndarray, validate: bool = True) -> np.ndarray:
     trace = np.trace(v, axis1=-2, axis2=-1)
     cos_t = np.clip((trace - 1.0) / 2.0, -1.0, 1.0)
     theta = np.arccos(cos_t)
-    s = _skew_vector(v)
+    s = vee(v - np.swapaxes(v, -1, -2))
 
     small = theta < _SMALL_ANGLE
     near_pi = (np.pi - theta) < _NEAR_PI
@@ -154,16 +175,7 @@ def exp_map(omega: np.ndarray) -> np.ndarray:
     # sin(t)/t and (1-cos t)/t^2 via sinc, stable through t = 0
     k1 = np.sinc(theta / np.pi)
     k2 = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
-    wx, wy, wz = omega[..., 0], omega[..., 1], omega[..., 2]
-    zeros = np.zeros_like(wx)
-    k = np.stack(
-        [
-            np.stack([zeros, -wz, wy], axis=-1),
-            np.stack([wz, zeros, -wx], axis=-1),
-            np.stack([-wy, wx, zeros], axis=-1),
-        ],
-        axis=-2,
-    )
+    k = hat(omega)
     return np.eye(3) + k1[..., None, None] * k + k2[..., None, None] * (k @ k)
 
 

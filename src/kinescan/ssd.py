@@ -28,7 +28,6 @@ __all__ = [
     "build_decay_matrix",
     "ssd_matrix_form",
     "chunked_scan",
-    "discretize_zoh",
 ]
 
 
@@ -166,22 +165,3 @@ def chunked_scan(params: SsdParams, chunk: int = 16) -> np.ndarray:
     y[1:] += (c[1:] * prefix[1:, :, None]) @ h[:-1]
     return y.reshape(k * q, p)[:t]
 
-
-def discretize_zoh(a_cont: float, b_cont: np.ndarray, dt: float) -> tuple[float, np.ndarray]:
-    """Zero-order-hold discretization of scalar-decay SSM parameters.
-
-    Returns (a_disc, b_disc) with a_disc = exp(a_cont * dt) and
-    b_disc = (a_disc - 1) / a_cont * b_cont, taking the dt * b_cont limit
-    at a_cont = 0.
-    """
-    b_cont = np.asarray(b_cont, dtype=np.float64)
-    if not np.isfinite(a_cont) or not np.isfinite(dt) or not np.all(np.isfinite(b_cont)):
-        raise ValueError("discretize_zoh requires finite inputs")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    a_disc = float(np.exp(a_cont * dt))
-    if a_cont == 0.0:
-        b_disc = dt * b_cont
-    else:
-        b_disc = (a_disc - 1.0) / a_cont * b_cont
-    return a_disc, b_disc

@@ -4,6 +4,7 @@ import pytest
 import kinescan.kinematics as kinematics_mod
 from kinescan.cli import main
 from kinescan.io import (
+    Sequence,
     load_checkpoint,
     load_sequence,
     micro_run_config,
@@ -153,6 +154,20 @@ class TestEval:
         main(["gen-synthetic", "--kind", "pose", "--frames", "7", "--out", str(b)])
         assert main(["eval", str(a), str(b)]) == 1
         assert "mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["pred", "gt"])
+    def test_degenerate_6d_names_file_frame_and_joint(self, tmp_path, capsys, which):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        main(["gen-synthetic", "--kind", "pose", "--frames", "6", "--out", str(good)])
+        seq = load_sequence(good)
+        data = seq.data.copy()
+        data[4, 6 * 13:6 * 13 + 3] = 0.0  # frame 4, joint 13: first column zero
+        save_sequence(bad, Sequence(kind="pose", data=data, fps=seq.fps))
+        files = [str(bad), str(good)] if which == "pred" else [str(good), str(bad)]
+        capsys.readouterr()
+        assert main(["eval", *files]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: frame 4, joint 13: first 6D vector has near-zero norm" in err
 
 
 class TestVerify:

@@ -9,7 +9,6 @@ from kinescan.io import (
     load_run_config,
     load_sequence,
     load_skeleton,
-    metric_report_tsv,
     micro_run_config,
     pose_from_sequence,
     save_checkpoint,
@@ -115,6 +114,40 @@ class TestSequenceFile:
         with pytest.raises(ValueError, match="columns"):
             load_sequence(path)
 
+    def test_unparsable_header_value_names_path_and_field(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("#kinescan-sequence v1\n#kind pose\n#frames abc\n"
+                        "#columns 132\n#fps 60\n")
+        with pytest.raises(ValueError, match=r"bad\.txt: header field 'frames'.*'abc'"):
+            load_sequence(path)
+
+    @pytest.mark.parametrize("frames, columns", [(1, -5), (0, 36), (0, -5)])
+    def test_nonpositive_header_sizes_name_path(self, tmp_path, frames, columns):
+        path = tmp_path / "bad.txt"
+        body = "0\n" * frames
+        path.write_text(f"#kinescan-sequence v1\n#kind sparse_input\n#frames {frames}\n"
+                        f"#columns {columns}\n#fps 60\n{body}")
+        with pytest.raises(ValueError, match=r"bad\.txt:"):
+            load_sequence(path)
+
+    def test_unparsable_body_value_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        save_sequence(path, Sequence(kind="sparse_input", data=np.zeros((3, 36))))
+        lines = path.read_text().splitlines()
+        lines[6] = "x" + lines[6][1:]  # frame 1, the 7th line of the file
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.txt:7: frame 1: .*'x'"):
+            load_sequence(path)
+
+    def test_invalid_values_name_path(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        save_sequence(path, Sequence(kind="sparse_input", data=np.zeros((2, 36))))
+        lines = path.read_text().splitlines()
+        lines[5] = "nan" + lines[5][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.txt: sequence values must be finite"):
+            load_sequence(path)
+
 
 class TestPosePacking:
     def test_round_trip_without_root(self, rng):
@@ -165,8 +198,7 @@ class TestRunConfig:
 
     def test_round_trip_non_defaults(self, tmp_path):
         rc = RunConfig(
-            model=ModelConfig(seed=7, scan_strategy="fks", tie_bidirectional=True,
-                              gma_positional=True, **MICRO_CONFIG_KWARGS),
+            model=ModelConfig(seed=7, scan_strategy="fks", **MICRO_CONFIG_KWARGS),
             loss=LossWeights(alpha=0.5, beta=0.25, delta=2.0),
             fps=30.0, chunk=8,
         )
@@ -178,6 +210,13 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text("embed_dim=16\nwarp_factor=9\n")
         with pytest.raises(ValueError, match=r"warp_factor"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("key", ["tie_bidirectional", "gma_positional"])
+    def test_removed_ablation_flags_are_unknown_keys(self, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"fps=25\n{key}=false\n")
+        with pytest.raises(ValueError, match=rf"run\.cfg:2: unknown key '{key}'"):
             load_run_config(path)
 
     def test_bad_value_rejected(self, tmp_path):
@@ -253,6 +292,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_non_utf8_tensor_name_names_path(self, tmp_path, rng):
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, {"ab": rng.standard_normal(2).astype(np.float32)})
+        path.write_bytes(path.read_bytes().replace(b"ab", b"\xff\xfe", 1))
+        with pytest.raises(ValueError, match=r"w\.ckpt: tensor name .*UTF-8"):
+            load_checkpoint(path)
+
+    def test_overflowing_dims_reported_as_truncated(self, tmp_path):
+        # 2**16 ** 4 wraps to 0 in int64; the size check must still fire
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, {"a": np.zeros((1, 1, 1, 1), dtype=np.float32)})
+        raw = path.read_bytes()
+        dims = np.array([1, 1, 1, 1], dtype="<u4").tobytes()
+        path.write_bytes(raw.replace(dims, np.full(4, 2 ** 16, dtype="<u4").tobytes()))
+        with pytest.raises(ValueError, match=r"w\.ckpt: truncated tensor 'a'"):
+            load_checkpoint(path)
+
     def test_scalar_saved_as_length_one_vector(self, tmp_path):
         path = tmp_path / "w.ckpt"
         save_checkpoint(path, {"s": np.float32(2.5)})
@@ -275,9 +331,3 @@ class TestMetricReportText:
     def test_missing_jitter_prints_na(self):
         text = format_metric_report(self._report(jitter=None))
         assert "jitter_pred: n/a" in text
-
-    def test_tsv_has_header_and_row(self):
-        tsv = metric_report_tsv(self._report()).splitlines()
-        assert len(tsv) == 2
-        assert tsv[0].split("\t")[0] == "mpjre_deg"
-        assert tsv[1].split("\t")[0] == "3.5"

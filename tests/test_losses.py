@@ -3,9 +3,9 @@ import pytest
 
 from kinescan.losses import (
     LossWeights,
+    _log_map_adjoint,
     angular_velocity,
     grad_total_loss,
-    loss_angvel_diff,
     loss_angvel_geo,
     loss_ori,
     loss_pos,
@@ -128,22 +128,6 @@ class TestVelocityLosses:
         assert loss_angvel_geo(y2, z2) == pytest.approx(loss_angvel_geo(y, z),
                                                         abs=1e-9)
 
-    def test_diff_linear_ramps(self):
-        z = identity_pose(3, 2)
-        y = z.copy()
-        # one channel of one joint ramps 0.6 faster per step than the target
-        y[:, 1, 2] += 0.6 * np.arange(3)
-        assert loss_angvel_diff(y, z) == pytest.approx(2 * 0.6)
-
-    def test_diff_counts_every_channel(self):
-        z = identity_pose(3, 2)
-        y = z + 0.25 * np.arange(3)[:, None, None]
-        assert loss_angvel_diff(y, z) == pytest.approx(2 * 12 * 0.25)
-
-    def test_diff_single_frame_rejected(self):
-        with pytest.raises(ValueError):
-            loss_angvel_diff(identity_pose(1, 2), identity_pose(1, 2))
-
 
 class TestPositionLosses:
     def test_pos_zero_for_identical(self, tree, rng):
@@ -227,11 +211,51 @@ class TestGradient:
         assert np.abs(g[:, 1:]).max() == 0.0
         assert np.abs(g[:, 0]).max() > 0.0
 
-    def test_static_prediction_hits_angle_precondition(self):
-        y = identity_pose(3, 2)
-        z = spinning_pose(3, 2, 0.3)
-        with pytest.raises(ValueError):
-            grad_total_loss(y, z)
+    def _check_against_fd(self, y, z):
+        assert np.abs(y - z).min() > 1e-4  # away from L1 kinks
+        w = LossWeights(alpha=1.0, beta=0.5, delta=1.0)
+        got = grad_total_loss(y, z, w)
+        want = fd_grad(y, z, w)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
+
+    def test_still_prediction_matches_finite_differences(self):
+        # every frame-to-frame angle is 0: the log map's Taylor branch
+        rng = make_rng(21)
+        y = np.repeat(1.3 * smooth_pose(rng, 1, 3), 4, axis=0)
+        self._check_against_fd(y, smooth_pose(rng, 4, 3))
+
+    def test_near_still_prediction_matches_finite_differences(self):
+        # 3e-6 rad per frame, inside the Taylor branch but not zero
+        rng = make_rng(22)
+        start = rng.uniform(-1.0, 1.0, size=(1, 3, 3))
+        axis = rng.standard_normal((1, 3, 3))
+        axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+        steps = start + 3e-6 * axis * np.arange(4)[:, None, None]
+        y = 1.3 * matrix_to_sixd(exp_map(steps))
+        self._check_against_fd(y, smooth_pose(rng, 4, 3))
+
+    def test_adjoint_continuous_across_taylor_switch(self):
+        # the identity part carries k'/(2 sin theta), which is O(theta) in the
+        # gradient and invisible to finite differences of the loss
+        rng = make_rng(23)
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        u = rng.standard_normal((1, 1, 3))
+        parts = []
+        for theta in (0.999e-5, 1.001e-5):  # Taylor branch, closed form
+            adj = _log_map_adjoint(exp_map(theta * axis)[None, None], u)[0, 0]
+            parts.append((np.trace(adj) / 3.0, adj - np.trace(adj) / 3.0 * np.eye(3)))
+        (c_lo, k_lo), (c_hi, k_hi) = parts
+        assert c_lo != 0.0
+        assert c_lo / c_hi == pytest.approx(1.0, abs=5e-3)
+        np.testing.assert_allclose(k_lo, k_hi, rtol=1e-6, atol=1e-12)
+
+    def test_half_turn_step_raises_naming_joint_and_frames(self):
+        y = spinning_pose(4, 2, 0.2)
+        y[2:, 1] = matrix_to_sixd(exp_map(np.array([np.pi, 0.0, 0.0])))
+        with pytest.raises(ValueError, match="joint 1 .* frames 1 and 2"):
+            grad_total_loss(y, spinning_pose(4, 2, 0.3))
 
     def test_shape(self, rng):
         y = smooth_pose(rng, 4, 5)

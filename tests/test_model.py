@@ -8,6 +8,7 @@ from kinescan.model import (
     MICRO_CONFIG_KWARGS,
     ModelConfig,
     bi_ssd,
+    check_weights,
     embed,
     gma,
     infer_windowed,
@@ -146,11 +147,24 @@ class TestInitWeights:
         w = init_weights(ModelConfig())
         assert parameter_count(w) == FULL_PARAMS
 
-    def test_tied_bidirectional_copies(self):
-        _, w = micro_weights(tie_bidirectional=True)
-        for name in w:
-            if ".bwd." in name:
-                assert np.array_equal(w[name], w[name.replace(".bwd.", ".fwd.")])
+    def test_check_weights_accepts_init(self):
+        config, w = micro_weights()
+        check_weights(config, w, "w.ckpt")
+        check_weights(ModelConfig(), init_weights(ModelConfig()), "full")
+
+    def test_check_weights_rejects_names_and_shapes(self):
+        config, w = micro_weights()
+        missing = {k: v for k, v in w.items() if k != "embed.bias"}
+        with pytest.raises(ValueError, match="w.ckpt: tensor names"):
+            check_weights(config, missing, "w.ckpt")
+        with pytest.raises(ValueError, match="w.ckpt: tensor names"):
+            check_weights(config, {**w, "stray": w["embed.bias"]}, "w.ckpt")
+        wrong = {**w, "tfm0.gma.q.weight": np.zeros((16, 31), dtype=np.float32)}
+        with pytest.raises(ValueError, match=r"'tfm0.gma.q.weight' has shape \(16, 31\), "
+                                             r"config expects \(16, 32\)"):
+            check_weights(config, wrong, "w.ckpt")
+        with pytest.raises(ValueError, match="tensor names"):
+            check_weights(ModelConfig(**{**MICRO_CONFIG_KWARGS, "m_skfm": 2}), w, "w.ckpt")
 
     def test_no_skfm_weights_when_disabled(self):
         _, w = micro_weights(m_skfm=0)
@@ -221,7 +235,8 @@ class TestBiSsd:
         assert not np.allclose(f_f, f_b[::-1])
 
     def test_palindrome_with_tied_weights_is_mirror(self, rng):
-        _, w = micro_weights(tie_bidirectional=True)
+        _, w = micro_weights()
+        w = {name: w[name.replace(".bwd.", ".fwd.")] for name in w}
         half = rng.standard_normal((12, 16)).astype(np.float32)
         p = np.concatenate([half, half[::-1]])
         f_f, f_b = bi_ssd(p, w, "tfm0.")
@@ -248,14 +263,30 @@ class TestLma:
 
 
 class TestGma:
-    def test_attention_rows_are_distributions(self, rng):
+    def test_matches_dense_formula(self, rng):
         _, w = micro_weights()
         f = rng.standard_normal((24, 16)).astype(np.float32)
-        out, att = gma(f, w, "tfm0.gma.", heads=2, return_attention=True)
-        assert out.shape == (24, 16)
-        assert att.shape == (2, 24, 24)
-        assert np.all(att >= 0.0)
-        np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-6)
+
+        def ln(x, name):
+            z = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
+            return z * w[name + ".scale"] + w[name + ".bias"]
+
+        def linear(x, name):
+            return x @ w[name + ".weight"] + w[name + ".bias"]
+
+        g = linear(f, "tfm0.gma.in")
+        z = ln(g, "tfm0.gma.ln1")
+        heads = []
+        for h in range(2):  # 32 hidden channels, 2 heads of 16
+            cols = slice(16 * h, 16 * (h + 1))
+            q, k, v = (linear(z, "tfm0.gma." + n)[:, cols] for n in "qkv")
+            logits = q @ k.T / np.sqrt(16.0)
+            att = np.exp(logits - logits.max(-1, keepdims=True))
+            heads.append(att / att.sum(-1, keepdims=True) @ v)
+        g = g + linear(np.concatenate(heads, axis=1), "tfm0.gma.proj")
+        pre = linear(ln(g, "tfm0.gma.ln2"), "tfm0.gma.ffn1")
+        want = g + linear(pre * expit(pre), "tfm0.gma.ffn2")
+        np.testing.assert_allclose(gma(f, w, "tfm0.gma.", heads=2), want, atol=1e-5)
 
     def test_permutation_equivariant_without_positions(self, rng):
         _, w = micro_weights()
@@ -264,22 +295,6 @@ class TestGma:
         np.testing.assert_allclose(gma(f[perm], w, "tfm0.gma.", heads=2),
                                    gma(f, w, "tfm0.gma.", heads=2)[perm],
                                    atol=1e-5)
-
-    def test_positional_encoding_breaks_equivariance(self, rng):
-        _, w = micro_weights()
-        f = rng.standard_normal((24, 16)).astype(np.float32)
-        perm = make_rng(3).permutation(24)
-        a = gma(f[perm], w, "tfm0.gma.", heads=2, positional=True)
-        b = gma(f, w, "tfm0.gma.", heads=2, positional=True)[perm]
-        assert np.abs(a - b).max() > 1e-3
-
-    def test_sinusoidal_encoding_widths(self):
-        for width in (7, 8):
-            enc = model_mod._sinusoidal_encoding(10, width)
-            assert enc.shape == (10, width)
-            assert np.all(np.isfinite(enc))
-            np.testing.assert_allclose(enc[:, 0], np.sin(np.arange(10)),
-                                       atol=1e-6)
 
 
 class TestStmm:

@@ -5,11 +5,13 @@ from kinescan.rotations import (
     DegenerateRotationError,
     exp_map,
     geodesic_angle,
+    hat,
     matrix_to_log,
     matrix_to_sixd,
     relative_rotation,
     sixd_to_matrix,
     validate_rotation,
+    vee,
 )
 
 from conftest import make_rng
@@ -75,6 +77,38 @@ class TestSixdToMatrix:
         v[2, 3:] = v[2, :3]
         with pytest.raises(DegenerateRotationError):
             sixd_to_matrix(v)
+
+    def test_error_carries_first_degenerate_index(self, rng):
+        v = rng.standard_normal((5, 3, 6))
+        v[3, 1, :3] = 0.0
+        v[4, 0, :3] = 0.0
+        with pytest.raises(DegenerateRotationError) as info:
+            sixd_to_matrix(v)
+        assert info.value.index == (3, 1)
+        v[3, 1, :3] = v[4, 0, :3] = 1.0
+        v[1, 2, 3:] = 2.0 * v[1, 2, :3]
+        with pytest.raises(DegenerateRotationError) as info:
+            sixd_to_matrix(v)
+        assert info.value.index == (1, 2)
+
+
+class TestHatVee:
+    def test_hat_is_cross_product(self, rng):
+        w = rng.standard_normal((4, 2, 3))
+        u = rng.standard_normal((4, 2, 3))
+        np.testing.assert_allclose((hat(w) @ u[..., None])[..., 0], np.cross(w, u),
+                                   atol=1e-12)
+
+    def test_hat_is_skew_and_vee_inverts_it(self, rng):
+        w = rng.standard_normal((7, 3))
+        k = hat(w)
+        np.testing.assert_array_equal(k, -np.swapaxes(k, -1, -2))
+        np.testing.assert_array_equal(vee(k), w)
+
+    def test_vee_of_antisymmetric_part_is_scaled_axis(self):
+        v = rot_z(0.3)
+        np.testing.assert_allclose(vee(v - v.T), [0.0, 0.0, 2.0 * np.sin(0.3)],
+                                   atol=1e-15)
 
 
 class TestValidateRotation:

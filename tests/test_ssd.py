@@ -5,7 +5,6 @@ from kinescan.ssd import (
     SsdParams,
     build_decay_matrix,
     chunked_scan,
-    discretize_zoh,
     ssd_matrix_form,
     ssm_recurrence,
 )
@@ -225,30 +224,6 @@ class TestCausality:
             x2[cut:] = 0.0
             q = SsdParams(a=p.a, b=p.b, c=p.c, x=x2)
             assert np.array_equal(form(p)[:cut], form(q)[:cut])
-
-
-class TestZoh:
-    def test_zero_decay_limit(self):
-        a_d, b_d = discretize_zoh(0.0, np.array([1.0]), 0.1)
-        assert a_d == 1.0
-        np.testing.assert_allclose(b_d, [0.1])
-
-    def test_identity_limit_small_dt(self):
-        a_d, _ = discretize_zoh(-1.0, np.array([1.0]), 1e-12)
-        assert a_d == pytest.approx(1.0, abs=1e-11)
-
-    def test_closed_form(self):
-        a_d, b_d = discretize_zoh(-2.0, np.array([3.0, -1.0]), 0.5)
-        assert a_d == pytest.approx(np.exp(-1.0))
-        np.testing.assert_allclose(b_d, (np.exp(-1.0) - 1.0) / -2.0 * np.array([3.0, -1.0]))
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError):
-            discretize_zoh(-1.0, np.array([1.0]), 0.0)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            discretize_zoh(np.nan, np.array([1.0]), 0.1)
 
 
 def test_duality_property_sweep():
