@@ -60,10 +60,7 @@ def cmd_infer(args) -> int:
     else:
         weights = kio.load_checkpoint(args.weights)
         check_weights(rc.model, weights, args.weights)
-    if args.chunk is not None and args.chunk < 1:
-        raise ValueError(f"--chunk must be a positive integer, got {args.chunk}")
-    chunk = rc.chunk if args.chunk is None else args.chunk
-    pose = infer_windowed(seq.data, rc.model, weights, chunk=chunk)
+    pose = infer_windowed(seq.data, rc.model, weights)
     kio.save_sequence(args.out, kio.sequence_from_pose(pose, fps=seq.fps))
     print(f"inferred {pose.shape[0]} frames -> {args.out}")
     return 0
@@ -132,7 +129,7 @@ def cmd_train_micro(args) -> int:
 
     result = train_micro(rc.model, x, np.asarray(z, dtype=np.float64),
                          iters=args.iters, seed=args.seed,
-                         loss_weights=rc.loss, chunk=rc.chunk)
+                         loss_weights=rc.loss)
     if args.out:
         kio.save_checkpoint(args.out, result.weights)
     if args.trace:
@@ -151,11 +148,42 @@ def cmd_train_micro(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    t_list = tuple(int(t) for t in args.t_list.split(","))
-    result = run_benchmark(t_list=t_list, chunk=args.chunk, trials=args.trials,
+    result = run_benchmark(t_list=args.t_list, chunk=args.chunk, trials=args.trials,
                            seed=args.seed)
     print(format_bench_table(result), end="")
     return 0
+
+
+def _int_at_least(low):
+    """argparse type: an int of at least ``low``. argparse reports a refused
+    value as an error naming the flag (exit 1)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text):
+    """argparse type: a float above 0, so ``--fps 0`` is refused, not read
+    as unset."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _seq_lengths(text):
+    """argparse type for --t-list: comma-separated lengths of at least 1."""
+    length = _int_at_least(1)
+    return tuple(length(t) for t in text.split(","))
 
 
 def _build_parser():
@@ -167,9 +195,9 @@ def _build_parser():
 
     p = sub.add_parser("gen-synthetic", help="write a smooth synthetic sequence")
     p.add_argument("--kind", choices=("sparse_input", "pose"), default="sparse_input")
-    p.add_argument("--frames", type=int, default=96)
+    p.add_argument("--frames", type=_int_at_least(1), default=96)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fps", type=float, default=60.0)
+    p.add_argument("--fps", type=_positive_float, default=60.0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_synthetic)
 
@@ -177,7 +205,6 @@ def _build_parser():
     p.add_argument("input")
     p.add_argument("--config", default=None)
     p.add_argument("--weights", default=None)
-    p.add_argument("--chunk", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_infer)
 
@@ -185,7 +212,7 @@ def _build_parser():
     p.add_argument("pred")
     p.add_argument("gt")
     p.add_argument("--skeleton", default=None)
-    p.add_argument("--fps", type=float, default=None)
+    p.add_argument("--fps", type=_positive_float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eval)
 
@@ -197,16 +224,16 @@ def _build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--skeleton", default=None)
-    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--iters", type=_int_at_least(0), default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--trace", default=None)
     p.set_defaults(fn=cmd_train_micro)
 
     p = sub.add_parser("bench", help="time the quadratic vs chunked realizations")
-    p.add_argument("--t-list", default="256,512,1024,2048,4096")
+    p.add_argument("--t-list", type=_seq_lengths, default="256,512,1024,2048,4096")
     p.add_argument("--chunk", type=int, default=16)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)
     return parser

@@ -43,6 +43,17 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _read_text(path) -> str:
+    """The file's UTF-8 text; a byte that does not decode is a ValueError
+    naming the path and its offset."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not valid UTF-8") from None
+
+
 @dataclass(frozen=True)
 class Sequence:
     """A framed float32 signal: sparse_input (36 cols) or pose (132 cols,
@@ -90,8 +101,7 @@ def save_sequence(path, seq: Sequence) -> None:
 
 
 def load_sequence(path) -> Sequence:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] != _SEQ_MAGIC:
         raise ValueError(f"{path}: not a sequence file (bad magic line)")
     header = {}
@@ -166,8 +176,11 @@ def pose_from_sequence(seq: Sequence):
 
 
 def load_skeleton(path) -> KinematicTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        tree = parse_skeleton_text(fh.read())
+    text = _read_text(path)
+    try:
+        tree = parse_skeleton_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if tree.num_joints != 22:
         raise ValueError(f"{path}: expected 22 joints, got {tree.num_joints}")
     return tree
@@ -187,13 +200,10 @@ class RunConfig:
     model: ModelConfig = ModelConfig()
     loss: LossWeights = LossWeights()
     fps: float = 60.0
-    chunk: int = 16
 
     def __post_init__(self):
         if not self.fps > 0:
             raise ValueError("fps must be positive")
-        if int(self.chunk) < 1:
-            raise ValueError("chunk must be a positive integer")
 
 
 # key -> (target, converter); targets: model / loss / top-level
@@ -204,7 +214,6 @@ for _f in fields(ModelConfig):
 for _f in fields(LossWeights):
     _CONFIG_KEYS[_f.name] = ("loss", float)
 _CONFIG_KEYS["fps"] = ("top", float)
-_CONFIG_KEYS["chunk"] = ("top", int)
 
 
 def save_run_config(path, rc: RunConfig) -> None:
@@ -214,31 +223,33 @@ def save_run_config(path, rc: RunConfig) -> None:
     for f in fields(LossWeights):
         lines.append(f"{f.name}={_fmt(getattr(rc.loss, f.name))}")
     lines.append(f"fps={_fmt(rc.fps)}")
-    lines.append(f"chunk={rc.chunk}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_run_config(path) -> RunConfig:
     model_kw, loss_kw, top_kw = {}, {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            target, conv = _CONFIG_KEYS[key]
-            try:
-                parsed = conv(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
-            {"model": model_kw, "loss": loss_kw, "top": top_kw}[target][key] = parsed
-    return RunConfig(model=ModelConfig(**model_kw), loss=LossWeights(**loss_kw), **top_kw)
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        target, conv = _CONFIG_KEYS[key]
+        try:
+            parsed = conv(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+        {"model": model_kw, "loss": loss_kw, "top": top_kw}[target][key] = parsed
+    try:
+        return RunConfig(model=ModelConfig(**model_kw), loss=LossWeights(**loss_kw),
+                         **top_kw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def micro_run_config(seed: int = 0, **overrides) -> RunConfig:

@@ -235,7 +235,8 @@ def init_weights(config: ModelConfig) -> dict:
 
 def check_weights(config: ModelConfig, weights: dict, source) -> None:
     """Raise ValueError, naming ``source``, unless ``weights`` has exactly
-    the tensor names and shapes that ``init_weights(config)`` would draw."""
+    the tensor names and shapes that ``init_weights(config)`` would draw,
+    with finite values only."""
     expected = {name: shape for name, shape, _ in _weight_plan(config)}
     if set(weights) != set(expected):
         raise ValueError(f"{source}: tensor names do not match the config")
@@ -245,6 +246,8 @@ def check_weights(config: ModelConfig, weights: dict, source) -> None:
                 f"{source}: tensor {name!r} has shape {tensor.shape}, "
                 f"config expects {expected[name]}"
             )
+        if not np.all(np.isfinite(tensor)):
+            raise ValueError(f"{source}: tensor {name!r} has non-finite values")
 
 
 def parameter_count(weights: dict) -> int:
@@ -285,7 +288,7 @@ def embed(x: np.ndarray, weights: dict) -> np.ndarray:
     return x @ w + weights["embed.bias"]
 
 
-def ssd_block(p: np.ndarray, weights: dict, prefix: str, chunk: int = 16) -> np.ndarray:
+def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
     """One gated SSD block over an (T, W) sequence.
 
     X, B, C come from a shared layer norm through a linear layer and a causal
@@ -311,8 +314,7 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str, chunk: int = 16) -> np.
     gate = _silu(z @ weights[prefix + "gate.weight"] + weights[prefix + "gate.bias"])
     scan = chunked_scan(
         SsdParams(a=a, b=b.astype(np.float64), c=c.astype(np.float64),
-                  x=xs.astype(np.float64)),
-        chunk=min(chunk, p.shape[0]),
+                  x=xs.astype(np.float64))
     ).astype(np.float32)
     h = _layer_norm(
         gate * scan, weights[prefix + "out_ln.scale"], weights[prefix + "out_ln.bias"]
@@ -320,14 +322,14 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str, chunk: int = 16) -> np.
     return h @ weights[prefix + "out.weight"] + weights[prefix + "out.bias"]
 
 
-def bi_ssd(p: np.ndarray, weights: dict, prefix: str, chunk: int = 16):
+def bi_ssd(p: np.ndarray, weights: dict, prefix: str):
     """Forward and backward SSD branches with independent weights.
 
     f_f scans p causally; f_b = flip(ssd_block(flip(p))) so that f_b at
     frame t depends only on frames >= t.
     """
-    f_f = ssd_block(p, weights, prefix + "fwd.", chunk=chunk)
-    f_b = ssd_block(p[::-1], weights, prefix + "bwd.", chunk=chunk)[::-1]
+    f_f = ssd_block(p, weights, prefix + "fwd.")
+    f_b = ssd_block(p[::-1], weights, prefix + "bwd.")[::-1]
     return f_f, f_b
 
 
@@ -367,17 +369,16 @@ def gma(f: np.ndarray, weights: dict, prefix: str, heads: int) -> np.ndarray:
     return g + (ff @ weights[prefix + "ffn2.weight"] + weights[prefix + "ffn2.bias"])
 
 
-def tfm_forward(p: np.ndarray, weights: dict, prefix: str, config: ModelConfig,
-                chunk: int = 16) -> np.ndarray:
+def tfm_forward(p: np.ndarray, weights: dict, prefix: str,
+                config: ModelConfig) -> np.ndarray:
     """Temporal flow module: GMA(LMA(f_f + f_b))."""
-    f_f, f_b = bi_ssd(p, weights, prefix, chunk=chunk)
+    f_f, f_b = bi_ssd(p, weights, prefix)
     t = lma(f_f + f_b, weights, prefix + "lma.")
     return gma(t, weights, prefix + "gma.", config.gma_heads)
 
 
 def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
-                 config: ModelConfig, order: ScanOrder,
-                 chunk: int = 16) -> np.ndarray:
+                 config: ModelConfig, order: ScanOrder) -> np.ndarray:
     """Spatiotemporal mixing over the flattened (frame, joint) axis.
 
     Lift E -> H = J*D, reshape to (L, J, D), gather joints into scan order,
@@ -396,7 +397,7 @@ def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
     flat = reorder_joint_features(s, order).reshape(
         length * len(order), config.joint_dim
     )
-    f_f, f_b = bi_ssd(flat, weights, prefix, chunk=chunk)
+    f_f, f_b = bi_ssd(flat, weights, prefix)
     mixed = (f_f + f_b).reshape(length, len(order), config.joint_dim)
     s_out = inverse_reorder_joint_features(mixed, order)
     e = s_out.reshape(length, config.mixed_hidden) @ weights[prefix + "out.weight"]
@@ -405,8 +406,7 @@ def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
     return gma(e, weights, prefix + "gma.", config.gma_heads)
 
 
-def infer_windowed(x: np.ndarray, config: ModelConfig, weights: dict,
-                   chunk: int = 16) -> np.ndarray:
+def infer_windowed(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndarray:
     """Run the network over a sequence of any length T >= 1.
 
     The input splits into non-overlapping windows of config.seq_len frames;
@@ -419,23 +419,20 @@ def infer_windowed(x: np.ndarray, config: ModelConfig, weights: dict,
     for start in range(0, x.shape[0], length):
         window = x[start : start + length]
         r = window.shape[0]
-        if r < length:
-            window = np.pad(window, ((length - r, 0), (0, 0)), mode="edge")
-            outputs.append(kinest_forward(window, config, weights, chunk=chunk)[-r:])
-        else:
-            outputs.append(kinest_forward(window, config, weights, chunk=chunk))
+        # both steps are identities on a full window (r == length)
+        window = np.pad(window, ((length - r, 0), (0, 0)), mode="edge")
+        outputs.append(kinest_forward(window, config, weights)[-r:])
     return np.concatenate(outputs, axis=0)
 
 
-def kinest_forward(x: np.ndarray, config: ModelConfig, weights: dict,
-                   chunk: int = 16) -> np.ndarray:
+def kinest_forward(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndarray:
     """Full forward pass: (L, 36) tracking signal -> (L, 22, 6) rotations."""
     order = scan_order_for(config.scan_strategy)
     p = embed(x, weights)
     for i in range(config.n_tfm):
-        p = tfm_forward(p, weights, f"tfm{i}.", config, chunk=chunk)
+        p = tfm_forward(p, weights, f"tfm{i}.", config)
     for i in range(config.m_skfm):
-        p = stmm_forward(p, weights, f"skfm{i}.", config, order, chunk=chunk)
+        p = stmm_forward(p, weights, f"skfm{i}.", config, order)
     y = p @ weights["regressor.weight"] + weights["regressor.bias"]
     if not np.all(np.isfinite(y)):
         raise FloatingPointError("non-finite values in network output")

@@ -82,7 +82,7 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
                 iters: int = 500, seed: int = 0,
                 loss_weights: LossWeights = LossWeights(),
                 schedule: SpsaSchedule = SpsaSchedule(),
-                weights: dict = None, chunk: int = 16) -> TrainResult:
+                weights: dict = None) -> TrainResult:
     """Fit a micro configuration to one (input, target) sequence pair.
 
     The trace records (loss_plus + loss_minus) / 2 per iteration. Raises if
@@ -108,7 +108,7 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
         # loss so the divergence guard, not a crash, handles it
         with np.errstate(all="ignore"):
             try:
-                y = kinest_forward(x, config, _unflatten(vec, shapes), chunk=chunk)
+                y = kinest_forward(x, config, _unflatten(vec, shapes))
             except (FloatingPointError, ValueError):
                 return np.inf
         return total_loss(np.asarray(y, dtype=np.float64), z, loss_weights)

@@ -102,10 +102,10 @@ def test_criterion_09_model_shape_determinism(capsys, monkeypatch):
     mixed_lengths = {}
     real = model_mod.bi_ssd
 
-    def recorder(p, weights, prefix, chunk=16):
+    def recorder(p, weights, prefix):
         if prefix.startswith("skfm"):
             mixed_lengths.setdefault(current, set()).add(p.shape[0])
-        return real(p, weights, prefix, chunk=chunk)
+        return real(p, weights, prefix)
 
     monkeypatch.setattr(model_mod, "bi_ssd", recorder)
     rng = np.random.Generator(np.random.PCG64(0))

@@ -1,8 +1,12 @@
+import argparse
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import kinescan.kinematics as kinematics_mod
-from kinescan.cli import main
+from kinescan.cli import _build_parser, main
 from kinescan.io import (
     Sequence,
     load_checkpoint,
@@ -108,18 +112,6 @@ class TestInfer:
                      "--config", micro_cfg_path,
                      "--out", str(tmp_path / "o.txt")])
         assert code == 1
-
-    @pytest.mark.parametrize("chunk", ["0", "-3"])
-    def test_nonpositive_chunk_rejected(self, tmp_path, micro_cfg_path, capsys,
-                                        chunk):
-        inp = tmp_path / "in.txt"
-        main(["gen-synthetic", "--frames", "10", "--out", str(inp)])
-        out = tmp_path / "o.txt"
-        code = main(["infer", str(inp), "--config", micro_cfg_path,
-                     "--chunk", chunk, "--out", str(out)])
-        assert code == 1
-        assert "--chunk" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestEval:
@@ -233,3 +225,34 @@ class TestArgErrors:
         with pytest.raises(SystemExit) as exc:
             main(["gen-synthetic"])  # --out is required
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train-micro", "--iters", "-1"], "--iters"),
+        (["bench", "--trials", "0"], "--trials"),
+        (["bench", "--t-list", "256,abc"], "--t-list"),
+        (["bench", "--t-list", "0,128"], "--t-list"),
+        (["gen-synthetic", "--frames", "0", "--out", "o.txt"], "--frames"),
+        (["gen-synthetic", "--fps", "0", "--out", "o.txt"], "--fps"),
+        (["eval", "pred.txt", "gt.txt", "--fps", "0"], "--fps"),
+        (["eval", "pred.txt", "gt.txt", "--fps", "nan"], "--fps"),
+        (["infer", "in.txt", "--chunk", "16", "--out", "o.txt"], "--chunk"),
+    ], ids=["iters-negative", "trials-zero", "t-list-not-int", "t-list-zero",
+            "frames-zero", "fps-zero", "eval-fps-zero", "eval-fps-nan",
+            "infer-chunk-removed"])
+    def test_refused_flag_is_named(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    # a flag removed from the CLI must not linger in the documented examples
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("kinescan ")]
+    parser = _build_parser()
+    documented = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert documented == set(commands)

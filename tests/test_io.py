@@ -21,6 +21,7 @@ from kinescan.kinematics import default_tree
 from kinescan.losses import LossWeights
 from kinescan.metrics import MetricReport
 from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig, init_weights
+from kinescan.synthetic import gen_synthetic
 
 from conftest import make_rng
 
@@ -188,6 +189,14 @@ class TestSkeletonFile:
         with pytest.raises(ValueError, match="22"):
             load_skeleton(path)
 
+    def test_bad_value_names_path(self, tmp_path):
+        path = tmp_path / "skel.txt"
+        path.write_text("0 -1 0 0 0\n1 0 x 0 0\n")
+        with pytest.raises(ValueError) as exc:
+            load_skeleton(path)
+        assert str(exc.value).startswith(f"{path}: skeleton line 2: ")
+        assert "'x'" in str(exc.value)
+
 
 class TestRunConfig:
     def test_round_trip_defaults(self, tmp_path):
@@ -200,7 +209,7 @@ class TestRunConfig:
         rc = RunConfig(
             model=ModelConfig(seed=7, scan_strategy="fks", **MICRO_CONFIG_KWARGS),
             loss=LossWeights(alpha=0.5, beta=0.25, delta=2.0),
-            fps=30.0, chunk=8,
+            fps=30.0,
         )
         path = tmp_path / "run.cfg"
         save_run_config(path, rc)
@@ -212,7 +221,7 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=r"warp_factor"):
             load_run_config(path)
 
-    @pytest.mark.parametrize("key", ["tie_bidirectional", "gma_positional"])
+    @pytest.mark.parametrize("key", ["tie_bidirectional", "gma_positional", "chunk"])
     def test_removed_ablation_flags_are_unknown_keys(self, tmp_path, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"fps=25\n{key}=false\n")
@@ -224,6 +233,18 @@ class TestRunConfig:
         path.write_text("embed_dim=tiny\n")
         with pytest.raises(ValueError, match="embed_dim"):
             load_run_config(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("embed_dim=0", "embed_dim must be positive"),
+        ("beta=-1", "beta must be a nonnegative real"),
+        ("fps=0", "fps must be positive"),
+    ])
+    def test_invalid_value_names_path(self, tmp_path, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed=1\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            load_run_config(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -331,3 +352,69 @@ class TestMetricReportText:
     def test_missing_jitter_prints_na(self):
         text = format_metric_report(self._report(jitter=None))
         assert "jitter_pred: n/a" in text
+
+
+# ---------------------------------------------------------------------------
+# corrupt files: every loader either loads or raises ValueError naming the path
+
+_FORMATS = {
+    "checkpoint": (
+        lambda path: save_checkpoint(path, init_weights(micro_run_config().model)),
+        load_checkpoint,
+    ),
+    "sequence": (
+        lambda path: save_sequence(path, gen_synthetic(1, 8, "sparse_input")),
+        load_sequence,
+    ),
+    "skeleton": (lambda path: save_skeleton(path, default_tree()), load_skeleton),
+    "run_config": (lambda path: save_run_config(path, micro_run_config()), load_run_config),
+}
+
+
+@pytest.mark.parametrize("fmt", ["sequence", "skeleton", "run_config"])
+def test_non_utf8_byte_names_path_and_offset(tmp_path, fmt):
+    write, load = _FORMATS[fmt]
+    path = tmp_path / "file.txt"
+    write(path)
+    raw = bytearray(path.read_bytes())
+    raw[30] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: byte 30 is not valid UTF-8"
+
+
+def _mutants(raw, mutation, rng, count=150):
+    """(description, bytes) pairs: ``raw`` cut short, or one byte changed."""
+    n = len(raw)
+    if mutation == "truncate":
+        # every cut through the first 64 bytes (magic and header), then random ones
+        cuts = set(range(min(n, 64))) | set(rng.integers(0, n, size=count).tolist())
+        for k in sorted(cuts):
+            yield f"truncated to {k} bytes", raw[:k]
+    else:
+        for k in rng.integers(0, n, size=count).tolist():
+            mutant = bytearray(raw)
+            mutant[k] ^= int(rng.integers(1, 256))
+            yield f"byte {k} set to {mutant[k]:#04x}", bytes(mutant)
+
+
+@pytest.mark.parametrize("mutation", ["truncate", "flip"])
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+def test_corrupt_file_loads_or_names_path(tmp_path, fmt, mutation):
+    write, load = _FORMATS[fmt]
+    path = tmp_path / f"corrupt.{fmt}"
+    write(path)
+    raw = path.read_bytes()
+    rng = make_rng(sorted(_FORMATS).index(fmt) * 2 + (mutation == "flip"))
+    bad = []
+    for what, blob in _mutants(raw, mutation, rng):
+        path.write_bytes(blob)
+        try:
+            load(path)
+        except ValueError as exc:
+            if str(path) not in str(exc):
+                bad.append(f"{what}: ValueError without the path: {exc}")
+        except Exception as exc:  # any other type is a failure; report it with its case
+            bad.append(f"{what}: {type(exc).__name__}: {exc}")
+    assert not bad, f"{len(bad)} cases:\n" + "\n".join(bad[:10])

@@ -166,6 +166,15 @@ class TestInitWeights:
         with pytest.raises(ValueError, match="tensor names"):
             check_weights(ModelConfig(**{**MICRO_CONFIG_KWARGS, "m_skfm": 2}), w, "w.ckpt")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_check_weights_rejects_non_finite(self, bad):
+        config, w = micro_weights()
+        tensor = w["skfm0.fwd.a.weight"].copy()
+        tensor[2, 0] = bad
+        with pytest.raises(ValueError, match=r"w\.ckpt: tensor 'skfm0\.fwd\.a\.weight' "
+                                             r"has non-finite values"):
+            check_weights(config, {**w, "skfm0.fwd.a.weight": tensor}, "w.ckpt")
+
     def test_no_skfm_weights_when_disabled(self):
         _, w = micro_weights(m_skfm=0)
         assert not any(name.startswith("skfm") for name in w)
@@ -207,14 +216,6 @@ class TestSsdBlock:
         b = ssd_block(q, w, "tfm0.fwd.")
         assert np.array_equal(a[:15], b[:15])
         assert not np.array_equal(a[15:], b[15:])
-
-    def test_chunk_setting_agrees(self, rng):
-        _, w = micro_weights()
-        p = rng.standard_normal((24, 16)).astype(np.float32)
-        base = ssd_block(p, w, "tfm0.fwd.", chunk=1)
-        for chunk in (3, 16, 24, 1000):
-            np.testing.assert_allclose(ssd_block(p, w, "tfm0.fwd.", chunk=chunk),
-                                       base, atol=1e-5)
 
 
 class TestBiSsd:
@@ -302,9 +303,9 @@ class TestStmm:
         recorded = []
         real = model_mod.bi_ssd
 
-        def recorder(p, weights, prefix, chunk=16):
+        def recorder(p, weights, prefix):
             recorded.append(p.shape[0])
-            return real(p, weights, prefix, chunk=chunk)
+            return real(p, weights, prefix)
 
         monkeypatch.setattr(model_mod, "bi_ssd", recorder)
         config, w = micro_weights()
