@@ -12,13 +12,13 @@ conv) and global (single-layer attention) aggregators. An SKFM flattens the
 bidirectional SSD over the mixed axis.
 
 Weights live in a flat name -> float32 ndarray dict. Activations are float32;
-the SSD scan itself accumulates in float64 (see ssd module).
+the SSD scan itself accumulates in float64 (see ssd module). The model needs
+numpy only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .kinematics import (
     ScanOrder,
@@ -259,24 +259,37 @@ def parameter_count(weights: dict) -> int:
 
 
 def _silu(x):
-    return x * expit(x)
+    """SiLU x * sigmoid(x) = x / (1 + exp(-x)), computed in place on ``x``:
+    every caller passes a fresh temporary. Below x ~= -88.7, exp(-x)
+    overflows float32 to inf and the quotient takes its limit, 0."""
+    e = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    e += 1
+    x /= e
+    return x
 
 
 def _layer_norm(x, scale, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return ((x - mu) / np.sqrt(var + _LN_EPS)) * scale + bias
+    d = x - x.mean(axis=-1, keepdims=True)
+    # the same sum of squares np.var forms, without recentring x again
+    var = np.square(d).mean(axis=-1, keepdims=True)
+    d /= np.sqrt(var + _LN_EPS)
+    d *= scale
+    d += bias
+    return d
 
 
 def _causal_depthwise_conv(x, kernel, bias):
     """Per-channel causal convolution: out[t] = sum_k kernel[k] x[t-K+1+k]."""
     k = kernel.shape[0]
     t = x.shape[0]
-    padded = np.concatenate([np.zeros((k - 1, x.shape[1]), dtype=x.dtype), x])
     out = np.zeros_like(x)
-    for i in range(k):
-        out += kernel[i] * padded[i : i + t]
-    return out + bias
+    # tap i reads x shifted down by k-1-i; taps are added in order of i
+    for shift in reversed(range(min(k, t))):
+        out[shift:] += kernel[k - 1 - shift] * x[: t - shift]
+    out += bias
+    return out
 
 
 def embed(x: np.ndarray, weights: dict) -> np.ndarray:
@@ -299,27 +312,29 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float32)
     width = p.shape[-1]
     z = _layer_norm(p, weights[prefix + "ln.scale"], weights[prefix + "ln.bias"])
-    xbc = z @ weights[prefix + "xbc.weight"] + weights[prefix + "xbc.bias"]
+    xbc = z @ weights[prefix + "xbc.weight"]
+    xbc += weights[prefix + "xbc.bias"]
     xbc = _silu(
         _causal_depthwise_conv(
             xbc, weights[prefix + "conv.kernel"], weights[prefix + "conv.bias"]
         )
-    )
+    ).astype(np.float64)
     state = (xbc.shape[-1] - width) // 2
-    xs = xbc[:, :width]
-    b = xbc[:, width : width + state]
-    c = xbc[:, width + state :]
     raw = z @ weights[prefix + "a.weight"] + weights[prefix + "a.bias"]
     a = np.exp(-np.logaddexp(0.0, raw[:, 0].astype(np.float64)))
-    gate = _silu(z @ weights[prefix + "gate.weight"] + weights[prefix + "gate.bias"])
-    scan = chunked_scan(
-        SsdParams(a=a, b=b.astype(np.float64), c=c.astype(np.float64),
-                  x=xs.astype(np.float64))
+    gate = z @ weights[prefix + "gate.weight"]
+    gate += weights[prefix + "gate.bias"]
+    gate = _silu(gate)
+    gate *= chunked_scan(
+        SsdParams(a=a, b=xbc[:, width : width + state],
+                  c=xbc[:, width + state :], x=xbc[:, :width])
     ).astype(np.float32)
     h = _layer_norm(
-        gate * scan, weights[prefix + "out_ln.scale"], weights[prefix + "out_ln.bias"]
+        gate, weights[prefix + "out_ln.scale"], weights[prefix + "out_ln.bias"]
     )
-    return h @ weights[prefix + "out.weight"] + weights[prefix + "out.bias"]
+    out = h @ weights[prefix + "out.weight"]
+    out += weights[prefix + "out.bias"]
+    return out
 
 
 def bi_ssd(p: np.ndarray, weights: dict, prefix: str):
@@ -425,15 +440,33 @@ def infer_windowed(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndar
     return np.concatenate(outputs, axis=0)
 
 
-def kinest_forward(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndarray:
-    """Full forward pass: (L, 36) tracking signal -> (L, 22, 6) rotations."""
+def _layer_outputs(x, config, weights):
+    """Yield (layer name, output) for each layer of the forward pass in turn,
+    ending with the regressor."""
     order = scan_order_for(config.scan_strategy)
     p = embed(x, weights)
+    yield "embed", p
     for i in range(config.n_tfm):
         p = tfm_forward(p, weights, f"tfm{i}.", config)
+        yield f"tfm{i}.", p
     for i in range(config.m_skfm):
         p = stmm_forward(p, weights, f"skfm{i}.", config, order)
-    y = p @ weights["regressor.weight"] + weights["regressor.bias"]
+        yield f"skfm{i}.", p
+    yield "regressor", p @ weights["regressor.weight"] + weights["regressor.bias"]
+
+
+def kinest_forward(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndarray:
+    """Full forward pass: (L, 36) tracking signal -> (L, 22, 6) rotations.
+
+    A non-finite output raises FloatingPointError naming the first layer
+    whose output is not finite, found by running the layers again.
+    """
+    for _, y in _layer_outputs(x, config, weights):
+        pass
     if not np.all(np.isfinite(y)):
-        raise FloatingPointError("non-finite values in network output")
+        first = next(name for name, out in _layer_outputs(x, config, weights)
+                     if not np.all(np.isfinite(out)))
+        raise FloatingPointError(
+            f"non-finite values in network output, first in layer {first!r}"
+        )
     return y.reshape(x.shape[0], config.joints, 6)

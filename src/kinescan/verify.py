@@ -220,14 +220,31 @@ def kink_mask(y, z, h):
     return clear & ~near_frame[..., None]
 
 
+def _grad_pairs(seed, trials, frames, joints):
+    """``trials`` smooth (prediction, target) pairs, then a still and a
+    near-still (3e-6 rad/frame) prediction, whose frame-to-frame angles take
+    the log map's small-angle branch."""
+    for trial in range(trials):
+        yield (synthetic_pose(seed + 2 * trial, frames)[:, :joints],
+               synthetic_pose(seed + 2 * trial + 1, frames)[:, :joints])
+    rng = np.random.Generator(np.random.PCG64(seed))
+    start = rng.uniform(-1.0, 1.0, size=(1, joints, 3))
+    z = synthetic_pose(seed + 2 * trials, frames)[:, :joints]
+    still = rotations.matrix_to_sixd(rotations.exp_map(start))
+    yield np.repeat(still, frames, axis=0), z
+    axis = rng.standard_normal((1, joints, 3))
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+    steps = start + 3e-6 * axis * np.arange(frames)[:, None, None]
+    yield rotations.matrix_to_sixd(rotations.exp_map(steps)), z
+
+
 def check_grad(seed=0, trials=3, frames=5, joints=4, h=1e-5):
-    """Analytic gradient vs central finite differences on smooth inputs."""
+    """Analytic gradient vs central finite differences on smooth inputs and
+    on a still and a near-still prediction."""
     w = losses.LossWeights()
     worst_clear = 0.0
     fracs = []
-    for trial in range(trials):
-        y = synthetic_pose(seed + 2 * trial, frames)[:, :joints]
-        z = synthetic_pose(seed + 2 * trial + 1, frames)[:, :joints]
+    for y, z in _grad_pairs(seed, trials, frames, joints):
         g = losses.grad_total_loss(y, z, w)
         fd = _fd_gradient(y, z, w, h=h)
         rel = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-10)
@@ -241,8 +258,8 @@ def check_grad(seed=0, trials=3, frames=5, joints=4, h=1e-5):
     if worst_clear > 1e-2:
         return False, f"worst kink-free relative error {worst_clear:.3g} exceeds 1e-2"
     return True, (
-        f"{trials} sequences, {frac_ok:.1%} within 1e-4, worst kink-free "
-        f"relative error {worst_clear:.3g}"
+        f"{trials} smooth + still + near-still sequences, {frac_ok:.1%} within "
+        f"1e-4, worst kink-free relative error {worst_clear:.3g}"
     )
 
 

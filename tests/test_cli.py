@@ -1,5 +1,8 @@
 import argparse
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -256,3 +259,18 @@ def test_readme_command_lines_parse():
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     assert documented == set(commands)
+
+
+def test_cli_import_does_not_load_scipy():
+    # every fresh `kinescan` process pays for what importing the CLI loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    code = ("import sys, kinescan.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"

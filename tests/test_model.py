@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -7,6 +9,9 @@ from kinescan.kinematics import fks_order, uks_order
 from kinescan.model import (
     MICRO_CONFIG_KWARGS,
     ModelConfig,
+    _causal_depthwise_conv,
+    _layer_norm,
+    _silu,
     bi_ssd,
     check_weights,
     embed,
@@ -68,6 +73,67 @@ def naive_ssd_block(p, weights, prefix):
     h = ln(gate * scan, weights[prefix + "out_ln.scale"],
            weights[prefix + "out_ln.bias"])
     return h @ weights[prefix + "out.weight"] + weights[prefix + "out.bias"]
+
+
+def two_pass_layer_norm(x, scale, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return ((x - mu) / np.sqrt(var + 1e-5)) * scale + bias
+
+
+def zero_padded_conv(x, kernel, bias):
+    k, t = kernel.shape[0], x.shape[0]
+    padded = np.concatenate([np.zeros((k - 1, x.shape[1]), dtype=x.dtype), x])
+    out = np.zeros_like(x)
+    for i in range(k):
+        out += kernel[i] * padded[i : i + t]
+    return out + bias
+
+
+# (T, W) at the FKS mixed axis, the full-scale TFM xbc width, and micro
+# TFM / SKFM widths; T = 2 is shorter than the widest conv kernel
+PRIMITIVE_SHAPES = [(3072, 64), (96, 288), (24, 16), (528, 4), (528, 12), (2, 24)]
+
+
+class TestPrimitives:
+    def test_silu_matches_expit(self):
+        grid = np.linspace(-120.0, 120.0, 480001, dtype=np.float32)
+        x = np.concatenate(
+            [grid, np.float32([0.0, -0.0, 88.7, -88.7, -104.0])]
+        ).astype(np.float32)
+        want = x * expit(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _silu(x.copy())
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
+
+    def test_silu_updates_its_argument(self):
+        x = make_rng(3).standard_normal(10).astype(np.float32)
+        assert _silu(x) is x
+
+    @pytest.mark.parametrize("shape", PRIMITIVE_SHAPES)
+    def test_layer_norm_matches_two_pass_formula(self, shape):
+        rng = make_rng(shape[0] + shape[1])
+        x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(np.float32)
+        scale = rng.uniform(0.5, 2.0, shape[1]).astype(np.float32)
+        bias = rng.standard_normal(shape[1]).astype(np.float32)
+        x_in = x.copy()
+        got = _layer_norm(x, scale, bias)
+        assert np.array_equal(got, two_pass_layer_norm(x, scale, bias))
+        assert np.array_equal(x, x_in)
+
+    @pytest.mark.parametrize("shape", PRIMITIVE_SHAPES)
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_causal_conv_matches_zero_padded_formula(self, shape, width):
+        rng = make_rng(shape[0] + width)
+        x = rng.standard_normal(shape).astype(np.float32)
+        kernel = rng.standard_normal((width, shape[1])).astype(np.float32)
+        bias = rng.standard_normal(shape[1]).astype(np.float32)
+        x_in = x.copy()
+        got = _causal_depthwise_conv(x, kernel, bias)
+        assert np.array_equal(got, zero_padded_conv(x, kernel, bias))
+        assert np.array_equal(x, x_in)
 
 
 class TestModelConfig:
@@ -366,7 +432,15 @@ class TestKinestForward:
         config, w = micro_weights()
         w = dict(w)
         w["regressor.bias"] = w["regressor.bias"] + np.float32(np.inf)
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError, match="'regressor'"):
+            kinest_forward(rng.standard_normal((24, 36)), config, w)
+
+    def test_nonfinite_output_names_first_layer(self, rng):
+        config, w = micro_weights()
+        w = dict(w)
+        w["skfm0.out.bias"] = np.full_like(w["skfm0.out.bias"], 3e38)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match=r"'skfm0\.'"):
             kinest_forward(rng.standard_normal((24, 36)), config, w)
 
 
