@@ -172,15 +172,15 @@ def _log_map_adjoint(v, grad_w):
 
 
 def _gram_schmidt_with_jacobian(r):
-    """Rotations R(r) plus the (..., 3, 3, 6) Jacobian dR/dr for 6D input."""
-    a1 = r[..., 0:3]
+    """Rotations R(r) from ``sixd_to_matrix``, which rejects degenerate 6D
+    input, plus the (..., 3, 3, 6) Jacobian dR/dr."""
+    rot = sixd_to_matrix(r)
+    b1, b2 = rot[..., 0], rot[..., 1]
     a2 = r[..., 3:6]
-    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
-    b1 = a1 / n1
-    u = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
-    nu = np.linalg.norm(u, axis=-1, keepdims=True)
-    b2 = u / nu
-    b3 = np.cross(b1, b2)
+    # the norms Gram-Schmidt divided by: |a1| and |a2 - (b1.a2) b1|
+    n1 = np.linalg.norm(r[..., 0:3], axis=-1, keepdims=True)
+    nu = np.linalg.norm(a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1,
+                        axis=-1, keepdims=True)
 
     eye = np.broadcast_to(np.eye(3), b1.shape + (3,))
     outer = lambda x, y: x[..., :, None] * y[..., None, :]
@@ -196,7 +196,6 @@ def _gram_schmidt_with_jacobian(r):
     j_b3_a1 = -hat_b2 @ j_b1_a1 + hat_b1 @ j_b2_a1
     j_b3_a2 = hat_b1 @ j_b2_a2
 
-    rot = np.stack([b1, b2, b3], axis=-1)
     jac = np.empty(r.shape[:-1] + (3, 3, 6))
     jac[..., :, 0, 0:3] = j_b1_a1
     jac[..., :, 0, 3:6] = 0.0

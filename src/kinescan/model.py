@@ -11,9 +11,8 @@ conv) and global (single-layer attention) aggregators. An SKFM flattens the
 (frame, joint) axes along a kinematic-tree scan order and runs the same
 bidirectional SSD over the mixed axis.
 
-Weights live in a flat name -> float32 ndarray dict. Activations are float32;
-the SSD scan itself accumulates in float64 (see ssd module). The model needs
-numpy only.
+Weights live in a flat name -> float32 ndarray dict. Activations, the SSD
+decays and the scan are all float32. The model needs numpy only.
 """
 
 from dataclasses import dataclass
@@ -306,8 +305,9 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
 
     X, B, C come from a shared layer norm through a linear layer and a causal
     depthwise conv with SiLU; the scalar decay a_t = exp(-softplus(raw_t))
-    lies in (0, 1); the scan output is gated by f1 = SiLU(Linear(LN(p))) and
-    projected out through a second layer norm.
+    lies in [0, 1] (in float32 it rounds to exactly 1 below raw ~= -17 and
+    to 0 above raw ~= 104); the scan output is gated by
+    f1 = SiLU(Linear(LN(p))) and projected out through a second layer norm.
     """
     p = np.asarray(p, dtype=np.float32)
     width = p.shape[-1]
@@ -318,17 +318,17 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
         _causal_depthwise_conv(
             xbc, weights[prefix + "conv.kernel"], weights[prefix + "conv.bias"]
         )
-    ).astype(np.float64)
+    )
     state = (xbc.shape[-1] - width) // 2
     raw = z @ weights[prefix + "a.weight"] + weights[prefix + "a.bias"]
-    a = np.exp(-np.logaddexp(0.0, raw[:, 0].astype(np.float64)))
+    a = np.exp(-np.logaddexp(0.0, raw[:, 0]))
     gate = z @ weights[prefix + "gate.weight"]
     gate += weights[prefix + "gate.bias"]
     gate = _silu(gate)
     gate *= chunked_scan(
         SsdParams(a=a, b=xbc[:, width : width + state],
                   c=xbc[:, width + state :], x=xbc[:, :width])
-    ).astype(np.float32)
+    )
     h = _layer_norm(
         gate, weights[prefix + "out_ln.scale"], weights[prefix + "out_ln.bias"]
     )

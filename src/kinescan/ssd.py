@@ -14,8 +14,9 @@ with per-step scalar decay a_t, state dimension N and channel width P:
   batched matmul, then a short loop carrying the state across chunks,
   O(T*chunk) per channel.
 
-All arithmetic is done in float64 regardless of input dtype so the three
-forms agree to tight tolerances.
+Every function computes in float32 when all its inputs are float32 (the
+model's scans) and in float64 otherwise (the oracles, ``verify`` and the
+benchmarks, where the three forms agree to tight tolerances).
 """
 
 from dataclasses import dataclass
@@ -31,13 +32,20 @@ __all__ = [
 ]
 
 
+def _float_arrays(*arrays):
+    """The arrays as float32 when all of them are float32, else as float64."""
+    arrays = [np.asarray(m) for m in arrays]
+    dtype = np.float32 if all(m.dtype == np.float32 for m in arrays) else np.float64
+    return [m.astype(dtype, copy=False) for m in arrays]
+
+
 @dataclass
 class SsdParams:
     """Parameters of one scan call: decays ``a`` (T,), input projections
     ``b`` (T, N), output projections ``c`` (T, N) and inputs ``x`` (T, P).
 
     Decays must lie in [0, 1]; a_t = 0 resets the state, a_t = 1 carries
-    it unchanged.
+    it unchanged. All four are float32 if all four arrive so, else float64.
     """
 
     a: np.ndarray
@@ -46,10 +54,8 @@ class SsdParams:
     x: np.ndarray
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.atleast_2d(np.asarray(self.b, dtype=np.float64))
-        self.c = np.atleast_2d(np.asarray(self.c, dtype=np.float64))
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
+        self.a, self.b, self.c, self.x = _float_arrays(self.a, self.b, self.c, self.x)
+        self.b, self.c, self.x = (np.atleast_2d(m) for m in (self.b, self.c, self.x))
         if self.a.ndim != 1 or self.a.size == 0:
             raise ValueError("a must be a non-empty 1-D array of decays")
         t = self.a.shape[0]
@@ -78,21 +84,12 @@ class SsdParams:
         return self.x.shape[1]
 
 
-def ssm_recurrence(params: SsdParams, h0: np.ndarray | None = None) -> np.ndarray:
-    """Run the recurrence left to right. Returns the (T, P) output sequence.
-
-    ``h0`` is the initial (N,) or (N, P) state; defaults to zero. An (N,)
-    state is broadcast across the P channels.
-    """
+def ssm_recurrence(params: SsdParams) -> np.ndarray:
+    """Run the recurrence left to right from the zero state. Returns the
+    (T, P) output sequence."""
     t, n, p = params.seq_len, params.state_dim, params.channels
-    if h0 is None:
-        h = np.zeros((n, p))
-    else:
-        h0 = np.asarray(h0, dtype=np.float64)
-        if h0.shape not in ((n,), (n, p)):
-            raise ValueError(f"h0 has shape {h0.shape}, expected ({n},) or ({n}, {p})")
-        h = np.broadcast_to(h0.reshape(n, -1), (n, p)).copy()
-    y = np.empty((t, p))
+    h = np.zeros((n, p), dtype=params.a.dtype)
+    y = np.empty((t, p), dtype=params.a.dtype)
     for i in range(t):
         h = params.a[i] * h + np.outer(params.b[i], params.x[i])
         y[i] = params.c[i] @ h
@@ -107,11 +104,11 @@ def build_decay_matrix(a: np.ndarray) -> np.ndarray:
     0 above it. Row j is a_j times the previous row, which stays exact
     when some decays are zero (no division by cumulative products).
     """
-    a = np.asarray(a, dtype=np.float64)
+    (a,) = _float_arrays(a)
     if a.ndim == 0 or a.size == 0:
         raise ValueError("a must be a non-empty array of decays along its last axis")
     t = a.shape[-1]
-    f = np.zeros(a.shape + (t,))
+    f = np.zeros(a.shape + (t,), dtype=a.dtype)
     f[..., 0, 0] = 1.0
     for j in range(1, t):
         f[..., j, :j] = a[..., j, None] * f[..., j - 1, :j]
@@ -147,8 +144,9 @@ def chunked_scan(params: SsdParams, chunk: int = 16) -> np.ndarray:
     # long as the arithmetic.
     a, b, c, x = params.a, params.b, params.c, params.x
     if pad:
-        a = np.concatenate([a, np.ones(pad)])
-        b, c, x = (np.concatenate([m, np.zeros((pad, m.shape[1]))]) for m in (b, c, x))
+        a = np.concatenate([a, np.ones(pad, a.dtype)])
+        b, c, x = (np.concatenate([m, np.zeros((pad, m.shape[1]), m.dtype)])
+                   for m in (b, c, x))
     a = a.reshape(k, q)
     b, c, x = (m.reshape(k, q, -1) for m in (b, c, x))
     f = build_decay_matrix(a)  # (k, q, q)

@@ -13,7 +13,12 @@ from kinescan.losses import (
     loss_vel,
     total_loss,
 )
-from kinescan.rotations import exp_map, matrix_to_sixd, sixd_to_matrix
+from kinescan.rotations import (
+    DegenerateRotationError,
+    exp_map,
+    matrix_to_sixd,
+    sixd_to_matrix,
+)
 
 from conftest import make_rng
 
@@ -261,3 +266,18 @@ class TestGradient:
         y = smooth_pose(rng, 4, 5)
         z = smooth_pose(rng, 4, 5)
         assert grad_total_loss(y, z).shape == (4, 5, 6)
+
+    @pytest.mark.parametrize("case", ["zero_first", "parallel_second"])
+    def test_degenerate_prediction_raises_naming_frame_and_joint(self, rng, case):
+        # the same rejection total_loss makes, not a non-finite gradient
+        y = smooth_pose(rng, 4, 3)
+        if case == "zero_first":
+            y[2, 1, :3] = 0.0
+        else:
+            y[2, 1, 3:] = -2.5 * y[2, 1, :3]
+        z = smooth_pose(rng, 4, 3)
+        with pytest.raises(DegenerateRotationError) as total_err:
+            total_loss(y, z)
+        with pytest.raises(DegenerateRotationError) as grad_err:
+            grad_total_loss(y, z)
+        assert grad_err.value.index == total_err.value.index == (2, 1)

@@ -273,6 +273,17 @@ class TestSsdBlock:
             want = naive_ssd_block(p, w, "tfm0.fwd.")
             np.testing.assert_allclose(got, want, atol=2e-5)
 
+    @pytest.mark.parametrize("raw", [-40.0, 120.0], ids=["a=1", "a=0"])
+    def test_saturated_decays_stay_finite(self, raw):
+        # in float32 every decay rounds to exactly 1 (carry) or 0 (reset)
+        _, w = micro_weights()
+        w = {**w, "skfm0.fwd.a.weight": np.zeros((4, 1), dtype=np.float32),
+             "skfm0.fwd.a.bias": np.float32([raw])}
+        p = make_rng(5).standard_normal((528, 4)).astype(np.float32)
+        got = ssd_block(p, w, "skfm0.fwd.")
+        assert got.dtype == np.float32 and np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, naive_ssd_block(p, w, "skfm0.fwd."), atol=2e-5)
+
     def test_causal_prefix_is_bit_stable(self, rng):
         _, w = micro_weights()
         p = rng.standard_normal((24, 16)).astype(np.float32)
@@ -401,6 +412,21 @@ class TestKinestForward:
         config, w = micro_weights()
         y = kinest_forward(rng.standard_normal((24, 36)), config, w)
         assert y.shape == (24, 22, 6) and y.dtype == np.float32
+
+    def test_full_scale_scans_in_float32(self, monkeypatch, rng):
+        dtypes = []
+        real = model_mod.chunked_scan
+
+        def recorder(params, *args, **kwargs):
+            y = real(params, *args, **kwargs)
+            dtypes.extend(m.dtype for m in (params.a, params.b, params.c, params.x, y))
+            return y
+
+        monkeypatch.setattr(model_mod, "chunked_scan", recorder)
+        config = ModelConfig(scan_strategy="fks")
+        kinest_forward(rng.standard_normal((96, 36)), config, init_weights(config))
+        assert len(dtypes) == 8 * 5
+        assert set(dtypes) == {np.dtype(np.float32)}
 
     def test_bitwise_deterministic(self, rng):
         config, w = micro_weights()

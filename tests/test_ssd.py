@@ -12,17 +12,24 @@ from kinescan.ssd import (
 from conftest import make_rng
 
 
-def naive_scan(params, h0=None):
+def naive_scan(params):
     """Oracle: the recurrence written as plain per-step loops."""
     t, n, p = params.seq_len, params.state_dim, params.channels
-    h = np.zeros((n, p)) if h0 is None else np.array(h0, dtype=np.float64)
-    if h.ndim == 1:
-        h = np.repeat(h[:, None], p, axis=1)
+    h = np.zeros((n, p))
     y = np.zeros((t, p))
     for i in range(t):
         h = params.a[i] * h + np.outer(params.b[i], params.x[i])
         y[i] = params.c[i] @ h
     return y
+
+
+# float32 scans against the float64 recurrence on the same rounded inputs
+# measure ~1.4e-7 of max |y| at the model's shapes, about one float32 eps
+F32_RTOL = 16 * np.finfo(np.float32).eps
+
+
+def as_dtype(params, dtype):
+    return SsdParams(*(m.astype(dtype) for m in (params.a, params.b, params.c, params.x)))
 
 
 def random_params(rng, t, n, p, a_lo=0.0, a_hi=1.0):
@@ -78,18 +85,6 @@ class TestRecurrence:
             p = random_params(rng, int(rng.integers(1, 40)), 4, 3)
             np.testing.assert_allclose(ssm_recurrence(p), naive_scan(p),
                                        rtol=1e-12, atol=1e-12)
-
-    def test_initial_state_vector_and_matrix(self, rng):
-        p = random_params(rng, 6, 3, 2)
-        h0 = rng.standard_normal(3)
-        np.testing.assert_allclose(ssm_recurrence(p, h0=h0), naive_scan(p, h0=h0))
-        h0m = rng.standard_normal((3, 2))
-        np.testing.assert_allclose(ssm_recurrence(p, h0=h0m), naive_scan(p, h0=h0m))
-
-    def test_bad_initial_state_rejected(self, rng):
-        p = random_params(rng, 4, 3, 2)
-        with pytest.raises(ValueError):
-            ssm_recurrence(p, h0=np.zeros(5))
 
 
 class TestDecayMatrix:
@@ -211,6 +206,55 @@ class TestChunkedScan:
         for bad in (0, -3, 2.5):
             with pytest.raises(ValueError):
                 chunked_scan(p, chunk=bad)
+
+
+class TestDtype:
+    def test_float64_and_mixed_inputs_compute_in_float64(self, rng):
+        p = random_params(rng, 37, 3, 2)
+        mixed = SsdParams(a=p.a.astype(np.float32), b=p.b, c=p.c, x=p.x)
+        ints = SsdParams(a=[1, 0], b=[[1], [2]], c=[[1], [1]], x=[[3], [4]])
+        for q in (p, mixed, ints):
+            assert {m.dtype for m in (q.a, q.b, q.c, q.x)} == {np.dtype(np.float64)}
+            for form in (ssm_recurrence, ssd_matrix_form, chunked_scan):
+                assert form(q).dtype == np.float64
+        assert build_decay_matrix([0.5, 1]).dtype == np.float64
+
+    @pytest.mark.parametrize("t", [32, 37])
+    def test_float32_inputs_compute_in_float32(self, rng, t):
+        p = as_dtype(random_params(rng, t, 3, 2), np.float32)
+        assert {m.dtype for m in (p.a, p.b, p.c, p.x)} == {np.dtype(np.float32)}
+        for form in (ssm_recurrence, ssd_matrix_form, chunked_scan):
+            assert form(p).dtype == np.float32
+        assert build_decay_matrix(p.a).dtype == np.float32
+
+    @pytest.mark.parametrize("t,n,p", [(96, 16, 256), (3072, 16, 64), (528, 4, 4), (97, 4, 3)],
+                             ids=["T96xP256", "T3072xP64", "T528xP4", "T97xP3"])
+    def test_float32_scan_matches_float64_recurrence(self, t, n, p):
+        p32 = as_dtype(random_params(make_rng(t), t, n, p, a_lo=0.7), np.float32)
+        y = ssm_recurrence(as_dtype(p32, np.float64))
+        assert np.abs(chunked_scan(p32) - y).max() <= F32_RTOL * np.abs(y).max()
+
+    @pytest.mark.parametrize("t", [45, 96])
+    def test_float32_decay_edges_carry_and_reset(self, t):
+        # in float32, exp(-softplus(raw)) is exactly 1 below raw ~= -17 and
+        # exactly 0 above raw ~= 104
+        rng = make_rng(t)
+        raw = rng.uniform(-3.0, 3.0, t).astype(np.float32)
+        raw[3:14] = -18.0  # carry inside chunk 0
+        raw[20:40] = -40.0  # carry across the seam at 32
+        raw[[15, 16, t - 1]] = 104.0  # reset at the seam at 16 and in the tail
+        a = np.exp(-np.logaddexp(0.0, raw))
+        assert a.dtype == np.float32
+        assert np.all(a[3:14] == 1.0) and np.all(a[20:40] == 1.0)
+        assert np.all(a[[15, 16, t - 1]] == 0.0)
+        b, c, x = (rng.standard_normal((t, m)).astype(np.float32) for m in (4, 4, 3))
+        p32 = SsdParams(a=a, b=b, c=c, x=x)
+        y = ssm_recurrence(as_dtype(p32, np.float64))
+        got = chunked_scan(p32)
+        assert np.abs(got - y).max() <= F32_RTOL * np.abs(y).max()
+        # a = 0 forgets everything before it: the rest is a fresh scan
+        tail = chunked_scan(SsdParams(a=a[16:], b=b[16:], c=c[16:], x=x[16:]))
+        assert np.abs(got[16:] - tail).max() <= F32_RTOL * np.abs(tail).max()
 
 
 class TestCausality:
