@@ -37,12 +37,13 @@ class BenchResult:
         return float(np.polyfit(t, y, 1)[0])
 
 
-def _random_instance(rng, seq_len, state, channels):
+def _random_instance(rng, seq_len):
+    """A seeded instance with state size N = 8 and P = 4 channels."""
     return SsdParams(
         a=rng.uniform(0.7, 1.0, size=seq_len),
-        b=rng.standard_normal((seq_len, state)),
-        c=rng.standard_normal((seq_len, state)),
-        x=rng.standard_normal((seq_len, channels)),
+        b=rng.standard_normal((seq_len, 8)),
+        c=rng.standard_normal((seq_len, 8)),
+        x=rng.standard_normal((seq_len, 4)),
     )
 
 
@@ -56,8 +57,7 @@ def _median_time(fn, trials):
 
 
 def run_benchmark(t_list=(256, 512, 1024, 2048, 4096), chunk: int = 16,
-                  trials: int = 3, state: int = 8, channels: int = 4,
-                  seed: int = 0) -> BenchResult:
+                  trials: int = 3, seed: int = 0) -> BenchResult:
     """Time both realizations per sequence length.
 
     Outputs are compared within 1e-5 relative before any timing; a
@@ -66,7 +66,7 @@ def run_benchmark(t_list=(256, 512, 1024, 2048, 4096), chunk: int = 16,
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = []
     for seq_len in t_list:
-        params = _random_instance(rng, int(seq_len), state, channels)
+        params = _random_instance(rng, int(seq_len))
         y_mat = ssd_matrix_form(params)
         y_chunk = chunked_scan(params, chunk=chunk)
         err = np.abs(y_mat - y_chunk).max() / max(np.abs(y_mat).max(), 1e-30)

@@ -10,7 +10,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kinematics import KinematicTree, format_skeleton_text, parse_skeleton_text
+from .kinematics import (
+    NUM_JOINTS,
+    POSE_WIDTH,
+    RIG_CHANNELS,
+    KinematicTree,
+    format_skeleton_text,
+    parse_skeleton_text,
+)
 from .losses import LossWeights
 from .metrics import MetricReport
 from .model import ModelConfig
@@ -33,7 +40,7 @@ __all__ = [
 ]
 
 _SEQ_MAGIC = "#kinescan-sequence v1"
-_SEQ_KINDS = {"sparse_input": (36,), "pose": (132, 135)}
+_SEQ_KINDS = {"sparse_input": (RIG_CHANNELS,), "pose": (POSE_WIDTH, POSE_WIDTH + 3)}
 
 _CKPT_MAGIC = b"KINESCAN-CKPT\x00"
 _CKPT_VERSION = 1
@@ -94,8 +101,9 @@ def save_sequence(path, seq: Sequence) -> None:
         f"#columns {seq.data.shape[1]}",
         f"#fps {_fmt(seq.fps)}",
     ]
+    row_format = " ".join(["%.9g"] * seq.data.shape[1])
     for row in seq.data:
-        lines.append(" ".join(_fmt(v) for v in row))
+        lines.append(row_format % tuple(row.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -155,9 +163,9 @@ def sequence_from_pose(pose: np.ndarray, root: np.ndarray = None,
     """Pack (L, 22, 6) rotations (and optional (L, 3) root translation)
     into a pose-kind sequence."""
     pose = np.asarray(pose, dtype=np.float32)
-    if pose.ndim != 3 or pose.shape[1:] != (22, 6):
-        raise ValueError(f"expected (L, 22, 6) pose, got {pose.shape}")
-    flat = pose.reshape(pose.shape[0], 132)
+    if pose.ndim != 3 or pose.shape[1:] != (NUM_JOINTS, 6):
+        raise ValueError(f"expected (L, {NUM_JOINTS}, 6) pose, got {pose.shape}")
+    flat = pose.reshape(pose.shape[0], POSE_WIDTH)
     if root is not None:
         root = np.asarray(root, dtype=np.float32)
         if root.shape != (pose.shape[0], 3):
@@ -170,8 +178,8 @@ def pose_from_sequence(seq: Sequence):
     """Unpack a pose-kind sequence into ((L, 22, 6), root or None)."""
     if seq.kind != "pose":
         raise ValueError(f"expected a pose sequence, got kind {seq.kind!r}")
-    pose = seq.data[:, :132].reshape(seq.frames, 22, 6)
-    root = seq.data[:, 132:135] if seq.data.shape[1] == 135 else None
+    pose = seq.data[:, :POSE_WIDTH].reshape(seq.frames, NUM_JOINTS, 6)
+    root = seq.data[:, POSE_WIDTH:] if seq.data.shape[1] > POSE_WIDTH else None
     return pose, root
 
 
@@ -181,8 +189,8 @@ def load_skeleton(path) -> KinematicTree:
         tree = parse_skeleton_text(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if tree.num_joints != 22:
-        raise ValueError(f"{path}: expected 22 joints, got {tree.num_joints}")
+    if tree.num_joints != NUM_JOINTS:
+        raise ValueError(f"{path}: expected {NUM_JOINTS} joints, got {tree.num_joints}")
     return tree
 
 
@@ -252,13 +260,11 @@ def load_run_config(path) -> RunConfig:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def micro_run_config(seed: int = 0, **overrides) -> RunConfig:
+def micro_run_config(seed: int = 0) -> RunConfig:
     """A RunConfig at the derivative-free training scale."""
     from .model import MICRO_CONFIG_KWARGS
 
-    kwargs = dict(MICRO_CONFIG_KWARGS)
-    kwargs.update(overrides)
-    return RunConfig(model=ModelConfig(seed=seed, **kwargs))
+    return RunConfig(model=ModelConfig(seed=seed, **MICRO_CONFIG_KWARGS))
 
 
 # ---------------------------------------------------------------------------

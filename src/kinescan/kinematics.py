@@ -17,6 +17,9 @@ import numpy as np
 
 __all__ = [
     "NUM_JOINTS",
+    "POSE_WIDTH",
+    "TRACKED_JOINTS",
+    "RIG_CHANNELS",
     "SMPL_PARENTS",
     "SMPL_JOINT_NAMES",
     "KinematicTree",
@@ -33,6 +36,12 @@ __all__ = [
 ]
 
 NUM_JOINTS = 22
+# a pose frame: one 6D rotation per joint, flattened
+POSE_WIDTH = NUM_JOINTS * 6
+# head and the two wrists: the three tracked body parts of a headset rig
+TRACKED_JOINTS = (15, 20, 21)
+# per tracked part: position (3), 6D rotation (6), velocity (3); 36 in all
+RIG_CHANNELS = len(TRACKED_JOINTS) * 12
 
 SMPL_PARENTS = (
     -1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 12, 13, 14, 16, 17, 18, 19,
@@ -124,14 +133,13 @@ class ScanOrder:
     flattened (frame, joint) axis reversed, so only ``forward`` is stored."""
 
     forward: tuple
-    num_joints: int = NUM_JOINTS
 
     def __post_init__(self):
         forward = tuple(int(j) for j in self.forward)
-        missing = set(range(self.num_joints)) - set(forward)
+        missing = set(range(NUM_JOINTS)) - set(forward)
         if missing:
             raise ValueError(f"scan order misses joints {sorted(missing)}")
-        if any(not 0 <= j < self.num_joints for j in forward):
+        if any(not 0 <= j < NUM_JOINTS for j in forward):
             raise ValueError("scan order contains out-of-range joint indices")
         object.__setattr__(self, "forward", forward)
 
@@ -160,9 +168,9 @@ def reorder_joint_features(features: np.ndarray, order: ScanOrder) -> np.ndarray
     Pure gather: output[..., k, :] = features[..., order.forward[k], :].
     """
     features = np.asarray(features)
-    if features.ndim < 2 or features.shape[-2] != order.num_joints:
+    if features.ndim < 2 or features.shape[-2] != NUM_JOINTS:
         raise ValueError(
-            f"expected joint axis of length {order.num_joints}, got shape {features.shape}"
+            f"expected joint axis of length {NUM_JOINTS}, got shape {features.shape}"
         )
     return features[..., order.forward, :]
 
@@ -179,7 +187,7 @@ def inverse_reorder_joint_features(features: np.ndarray, order: ScanOrder) -> np
         raise ValueError(
             f"expected scan axis of length {len(order)}, got shape {features.shape}"
         )
-    out_shape = features.shape[:-2] + (order.num_joints, features.shape[-1])
+    out_shape = features.shape[:-2] + (NUM_JOINTS, features.shape[-1])
     out = np.zeros(out_shape, dtype=features.dtype)
     # one add per visit rank; each joint sums its visits in scan order
     for joints, positions in _visit_ranks(order):

@@ -85,8 +85,8 @@ def metrics(y: np.ndarray, z: np.ndarray, tree: KinematicTree,
     rz = sixd_to_matrix(z)
     mpjre = np.degrees(geodesic_angle(relative_rotation(rz, ry)).mean())
 
-    py = forward_kinematics(y, tree, root_position=root_y)
-    pz = forward_kinematics(z, tree, root_position=root_z)
+    py = forward_kinematics(ry, tree, root_position=root_y)
+    pz = forward_kinematics(rz, tree, root_position=root_z)
     dist = np.linalg.norm(py - pz, axis=-1)
     mpjpe = dist.mean() * _M_TO_CM
 

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import (
+    NUM_JOINTS,
+    POSE_WIDTH,
+    RIG_CHANNELS,
     ScanOrder,
     fks_order,
     index_order,
@@ -51,7 +54,7 @@ _LN_EPS = 1e-5
 # softplus^-1(-log 0.9): raw-decay bias giving a ~= 0.9 at zero input
 _DECAY_BIAS = float(np.log(np.expm1(-np.log(0.9))))
 
-_SCAN_STRATEGIES = ("index", "fks", "uks")
+_SCAN_ORDERS = {"index": index_order(), "fks": fks_order(), "uks": uks_order()}
 
 
 @dataclass(frozen=True)
@@ -61,11 +64,8 @@ class ModelConfig:
     n_tfm: int = 2
     m_skfm: int = 2
     embed_dim: int = 256
-    joints: int = 22
     joint_dim: int = 64
     seq_len: int = 96
-    input_dim: int = 36
-    output_dim: int = 132
     gma_hidden: int = 512
     gma_heads: int = 8
     ssd_state: int = 16
@@ -74,12 +74,6 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.joints != 22:
-            raise ValueError("joints must be 22")
-        if self.input_dim != 36:
-            raise ValueError("input_dim must be 36 (3 tracked parts x 12 channels)")
-        if self.output_dim != self.joints * 6:
-            raise ValueError("output_dim must be joints * 6")
         for name in ("embed_dim", "joint_dim", "seq_len", "gma_hidden",
                      "gma_heads", "ssd_state", "conv_width"):
             if int(getattr(self, name)) < 1:
@@ -88,15 +82,15 @@ class ModelConfig:
             raise ValueError("module counts must be nonnegative")
         if self.gma_hidden % self.gma_heads != 0:
             raise ValueError("gma_hidden must be divisible by gma_heads")
-        if self.scan_strategy not in _SCAN_STRATEGIES:
-            raise ValueError(f"scan_strategy must be one of {_SCAN_STRATEGIES}")
+        if self.scan_strategy not in _SCAN_ORDERS:
+            raise ValueError(f"scan_strategy must be one of {tuple(_SCAN_ORDERS)}")
         if not -(2 ** 63) <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 
     @property
     def mixed_hidden(self) -> int:
         """H = J * D, the SKFM per-frame hidden width."""
-        return self.joints * self.joint_dim
+        return NUM_JOINTS * self.joint_dim
 
 
 # small enough for derivative-free training (parameter count ~16k)
@@ -107,13 +101,9 @@ MICRO_CONFIG_KWARGS = dict(
 
 
 def scan_order_for(strategy: str) -> ScanOrder:
-    if strategy == "index":
-        return index_order()
-    if strategy == "fks":
-        return fks_order()
-    if strategy == "uks":
-        return uks_order()
-    raise ValueError(f"unknown scan strategy {strategy!r}")
+    if strategy not in _SCAN_ORDERS:
+        raise ValueError(f"unknown scan strategy {strategy!r}")
+    return _SCAN_ORDERS[strategy]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +168,7 @@ def _weight_plan(config: ModelConfig):
     """Ordered (name, shape, init) triples; the order fixes the RNG stream."""
     e, d, h = config.embed_dim, config.joint_dim, config.mixed_hidden
     plan = [
-        ("embed.weight", (config.input_dim, e), config.input_dim),
+        ("embed.weight", (RIG_CHANNELS, e), RIG_CHANNELS),
         ("embed.bias", (e,), "zero"),
     ]
     for i in range(config.n_tfm):
@@ -202,8 +192,8 @@ def _weight_plan(config: ModelConfig):
         plan += _lma_names(p + "lma.", e)
         plan += _gma_names(p + "gma.", e, config.gma_hidden)
     plan += [
-        ("regressor.weight", (e, config.output_dim), e),
-        ("regressor.bias", (config.output_dim,), "zero"),
+        ("regressor.weight", (e, POSE_WIDTH), e),
+        ("regressor.bias", (POSE_WIDTH,), "zero"),
     ]
     return plan
 
@@ -408,7 +398,7 @@ def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
         raise ValueError(
             f"mixed hidden {h.shape[1]} does not match J*D = {config.mixed_hidden}"
         )
-    s = h.reshape(length, config.joints, config.joint_dim)
+    s = h.reshape(length, NUM_JOINTS, config.joint_dim)
     flat = reorder_joint_features(s, order).reshape(
         length * len(order), config.joint_dim
     )
@@ -469,4 +459,4 @@ def kinest_forward(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndar
         raise FloatingPointError(
             f"non-finite values in network output, first in layer {first!r}"
         )
-    return y.reshape(x.shape[0], config.joints, 6)
+    return y.reshape(x.shape[0], NUM_JOINTS, 6)

@@ -74,16 +74,16 @@ def matrix_to_sixd(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
 
 
-def validate_rotation(m: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Check orthonormality and det = +1 within ``tol``; returns the input
-    as float64. Raises DegenerateRotationError otherwise."""
+def validate_rotation(m: np.ndarray) -> np.ndarray:
+    """Check orthonormality and det = +1 within 1e-6; returns the input as
+    float64. Raises DegenerateRotationError otherwise."""
     m = np.asarray(m, dtype=np.float64)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected (..., 3, 3) matrices, got shape {m.shape}")
     eye = np.eye(3)
     ortho_err = np.abs(np.swapaxes(m, -1, -2) @ m - eye).max()
     det_err = np.abs(np.linalg.det(m) - 1.0).max()
-    if ortho_err > tol or det_err > tol:
+    if ortho_err > 1e-6 or det_err > 1e-6:
         raise DegenerateRotationError(
             f"input is not a rotation (orthonormality error {ortho_err:.3g}, "
             f"determinant error {det_err:.3g})"

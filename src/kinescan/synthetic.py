@@ -7,18 +7,20 @@ through the exponential map so every frame's 6D values are valid rotations.
 import numpy as np
 
 from .io import Sequence
-from .kinematics import NUM_JOINTS, KinematicTree, forward_kinematics
+from .kinematics import (
+    NUM_JOINTS,
+    RIG_CHANNELS,
+    TRACKED_JOINTS,
+    KinematicTree,
+    forward_kinematics,
+)
 from .rotations import exp_map, matrix_to_sixd
 
 __all__ = [
-    "TRACKED_JOINTS",
     "gen_synthetic",
     "synthetic_pose",
     "sparse_from_pose",
 ]
-
-# head and the two wrists: the three tracked body parts of a headset rig
-TRACKED_JOINTS = (15, 20, 21)
 
 
 def _smooth_channels(rng, frames, channels, amplitude, harmonics=3):
@@ -46,15 +48,11 @@ def gen_synthetic(seed: int, frames: int, kind: str, fps: float = 60.0) -> Seque
     """A synthetic sequence of the given kind, deterministic in seed."""
     if kind == "sparse_input":
         rng = np.random.Generator(np.random.PCG64(seed))
-        data = _smooth_channels(rng, frames, 36, amplitude=0.5)
-        return Sequence(kind="sparse_input", data=data.astype(np.float32), fps=fps)
+        data = _smooth_channels(rng, frames, RIG_CHANNELS, amplitude=0.5)
+        return Sequence(kind="sparse_input", data=data, fps=fps)
     if kind == "pose":
         pose = synthetic_pose(seed, frames)
-        return Sequence(
-            kind="pose",
-            data=pose.reshape(frames, 132).astype(np.float32),
-            fps=fps,
-        )
+        return Sequence(kind="pose", data=pose.reshape(frames, -1), fps=fps)
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 

@@ -19,7 +19,6 @@ from .model import ModelConfig, init_weights, kinest_forward, parameter_count
 
 __all__ = [
     "PARAM_LIMIT",
-    "SpsaSchedule",
     "TrainResult",
     "train_micro",
     "smoothed_trace",
@@ -30,19 +29,18 @@ PARAM_LIMIT = 20000
 _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_PATIENCE = 50
 
+_STEP_A = 0.001
+_STEP_C = 0.01
+_STEP_BIG_A = 50.0
+_STEP_ALPHA = 0.602
+_STEP_GAMMA = 0.101
 
-@dataclass(frozen=True)
-class SpsaSchedule:
-    a: float = 0.001
-    c: float = 0.01
-    big_a: float = 50.0
-    alpha: float = 0.602
-    gamma: float = 0.101
 
-    def step_sizes(self, k: int):
-        a_k = self.a / (k + 1 + self.big_a) ** self.alpha
-        c_k = self.c / (k + 1) ** self.gamma
-        return a_k, c_k
+def _step_sizes(k: int):
+    """(a_k, c_k) at iteration k, by the schedule in the module docstring."""
+    a_k = _STEP_A / (k + 1 + _STEP_BIG_A) ** _STEP_ALPHA
+    c_k = _STEP_C / (k + 1) ** _STEP_GAMMA
+    return a_k, c_k
 
 
 @dataclass(frozen=True)
@@ -80,17 +78,15 @@ def smoothed_trace(trace: np.ndarray, window: int = 50) -> np.ndarray:
 
 def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
                 iters: int = 500, seed: int = 0,
-                loss_weights: LossWeights = LossWeights(),
-                schedule: SpsaSchedule = SpsaSchedule(),
-                weights: dict = None) -> TrainResult:
-    """Fit a micro configuration to one (input, target) sequence pair.
+                loss_weights: LossWeights = LossWeights()) -> TrainResult:
+    """Fit a micro configuration, from ``init_weights(config)``, to one
+    (input, target) sequence pair.
 
     The trace records (loss_plus + loss_minus) / 2 per iteration. Raises if
     the parameter count exceeds PARAM_LIMIT or if the loss stays above ten
     times its initial value for 50 consecutive steps.
     """
-    if weights is None:
-        weights = init_weights(config)
+    weights = init_weights(config)
     n_params = parameter_count(weights)
     if n_params > PARAM_LIMIT:
         raise ValueError(
@@ -119,7 +115,7 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
     trace = np.empty(iters)
     high = 0
     for k in range(iters):
-        a_k, c_k = schedule.step_sizes(k)
+        a_k, c_k = _step_sizes(k)
         delta = rng.integers(0, 2, size=theta.size).astype(np.float64) * 2.0 - 1.0
         loss_plus = objective(theta + c_k * delta)
         loss_minus = objective(theta - c_k * delta)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinematics, losses, model, rotations, ssd
+from .kinematics import NUM_JOINTS
 from .metrics import jitter as _jitter
 from .metrics import metrics as _metrics
 from .synthetic import synthetic_pose
@@ -126,7 +127,7 @@ def check_scan_orders():
         return False, "FKS order does not match the printed 32-entry list"
     if kinematics.uks_order().forward != _UKS_EXPECTED:
         return False, "UKS order does not match the printed 22-entry list"
-    if kinematics.index_order().forward != tuple(range(22)):
+    if kinematics.index_order().forward != tuple(range(NUM_JOINTS)):
         return False, "index order is not 0..21"
     tree = kinematics.default_tree()
     fwd = kinematics.fks_order().forward
@@ -164,7 +165,7 @@ def check_fk_oracle(seed=0, poses=100):
     worst = 0.0
     for _ in range(poses):
         pose6 = rotations.matrix_to_sixd(
-            rotations.exp_map(rng.uniform(-np.pi, np.pi, size=(22, 3)) * 0.9)
+            rotations.exp_map(rng.uniform(-np.pi, np.pi, size=(NUM_JOINTS, 3)) * 0.9)
         )
         root = rng.standard_normal(3)
         pos = kinematics.forward_kinematics(pose6, tree, root_position=root)
@@ -290,7 +291,7 @@ def check_metric_fixtures(fps=60.0):
             return False, f"identity pair gives nonzero {key}"
 
     t = np.arange(8)[:, None, None]
-    linear = np.broadcast_to(t * np.array([0.01, 0.0, 0.0]), (8, 22, 3))
+    linear = np.broadcast_to(t * np.array([0.01, 0.0, 0.0]), (8, NUM_JOINTS, 3))
     if abs(_jitter(linear, fps)) > 1e-9:
         return False, "linear motion has nonzero jitter"
 

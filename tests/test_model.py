@@ -141,18 +141,6 @@ class TestModelConfig:
         config = ModelConfig()
         assert config.mixed_hidden == 22 * 64
 
-    def test_joint_count_locked(self):
-        with pytest.raises(ValueError):
-            ModelConfig(joints=21, output_dim=126)
-
-    def test_input_dim_locked(self):
-        with pytest.raises(ValueError):
-            ModelConfig(input_dim=54)
-
-    def test_output_dim_must_match(self):
-        with pytest.raises(ValueError):
-            ModelConfig(output_dim=131)
-
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ValueError):
             ModelConfig(gma_hidden=100, gma_heads=8)

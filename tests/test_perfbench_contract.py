@@ -1,0 +1,96 @@
+"""The benchmark in ``perfbench/`` drives the package through fixed names: it
+wraps public functions by (module, name) and reads ``prefix`` as their third
+positional argument, re-derives the forward pass from the weight names, and
+builds its workloads through ``ModelConfig`` and ``train_micro``. These tests
+import perfbench's modules as its runner does and change nothing there, so a
+renamed function or weight, or an output drift, fails here instead of failing
+a benchmark run."""
+
+import importlib
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+from kinescan import model
+from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig, init_weights
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+_MODULES = ("spans", "reference", "workloads")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench's spans, reference and workloads modules, imported with
+    their directory first on sys.path as ``perfbench/run.py`` has it, and
+    without writing bytecode there."""
+    sys.path.insert(0, str(PERFBENCH))
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        yield {name: importlib.import_module(name) for name in _MODULES}
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(str(PERFBENCH))
+        for name in _MODULES:
+            sys.modules.pop(name, None)
+
+
+def _window(bench, config):
+    return bench["workloads"].recording(1, config.seq_len)[1]
+
+
+def test_wrapped_functions_resolve(bench):
+    for module, name in bench["spans"]._WRAPPED:
+        fn = getattr(importlib.import_module("kinescan." + module), name, None)
+        assert callable(fn), f"kinescan.{module}.{name} is gone"
+
+
+def test_traced_forward_names_each_layer(bench):
+    config = ModelConfig(seed=0, **MICRO_CONFIG_KWARGS)
+    weights = init_weights(config)
+    x = _window(bench, config)
+    plain = model.kinest_forward(x, config, weights)
+    tracer = bench["spans"].Tracer()
+    tracer.install()
+    try:
+        with tracer.op(0):
+            traced = model.kinest_forward(x, config, weights)
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(traced, plain)
+    names = {span[3] for span in tracer.spans}
+    assert {"model.forward", "model.embed", "model.tfm[tfm0.]", "model.skfm[skfm0.]",
+            "model.ssd_block[skfm0.bwd.]", "ssd.scan[skfm0.bwd.]",
+            "kinematics.gather", "kinematics.scatter"} <= names
+    assert all(span[6] for span in tracer.spans)  # every span returned
+
+
+@pytest.mark.parametrize("scan, kwargs", [
+    ("fks", {}),
+    ("uks", {}),
+    ("uks", MICRO_CONFIG_KWARGS),
+], ids=["full-fks", "full-uks", "micro-uks"])
+def test_reference_forward_agrees(bench, scan, kwargs):
+    ref = bench["reference"]
+    config = ModelConfig(scan_strategy=scan, seed=1, **kwargs)
+    weights = init_weights(config)
+    x = _window(bench, config)
+    got = model.kinest_forward(x, config, weights)
+    assert ref.check_pose(got, config.seq_len) is None
+    want = ref.forward(x, weights, scan, heads=config.gma_heads)
+    assert ref.check_window(got, want, scan) is None
+
+
+def test_workload_calls_construct_and_run(bench, tmp_path):
+    workloads = bench["workloads"]
+    train = workloads.TrainMicro(1, str(tmp_path))
+    train.setup()
+    result = train.op(0)
+    assert result.fail is None
+    assert result.value.trace.shape == (train.iters,)
+    # the full-scale workloads' configs, through their timing controls
+    for cls, scan in ((workloads.StreamFks, "fks"), (workloads.OfflineUks, "uks")):
+        workload = cls(1, str(tmp_path))
+        workload.setup_control(scan_strategy=scan)
+        workload.control()

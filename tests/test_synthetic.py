@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from kinescan.kinematics import forward_kinematics
+from kinescan.kinematics import TRACKED_JOINTS, forward_kinematics
 from kinescan.rotations import matrix_to_sixd, sixd_to_matrix, validate_rotation
-from kinescan.synthetic import (
-    TRACKED_JOINTS,
-    gen_synthetic,
-    sparse_from_pose,
-    synthetic_pose,
-)
+from kinescan.synthetic import gen_synthetic, sparse_from_pose, synthetic_pose
 
 
 class TestSyntheticPose:

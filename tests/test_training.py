@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
+from kinescan import training
 from kinescan.kinematics import default_tree
 from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig, init_weights
 from kinescan.synthetic import sparse_from_pose, synthetic_pose
-from kinescan.training import (
-    PARAM_LIMIT,
-    SpsaSchedule,
-    TrainResult,
-    smoothed_trace,
-    train_micro,
-)
+from kinescan.training import PARAM_LIMIT, TrainResult, smoothed_trace, train_micro
 
 
 def micro_problem(frames=24, seed=0):
@@ -22,18 +17,25 @@ def micro_problem(frames=24, seed=0):
 
 class TestSchedule:
     def test_defaults(self):
-        s = SpsaSchedule()
-        assert (s.a, s.c, s.big_a) == (0.001, 0.01, 50.0)
+        # the gains a, c, A and Spall's standard exponents alpha, gamma
+        constants = (training._STEP_A, training._STEP_C, training._STEP_BIG_A,
+                     training._STEP_ALPHA, training._STEP_GAMMA)
+        assert constants == (0.001, 0.01, 50.0, 0.602, 0.101)
 
-    def test_step_size_formulas(self):
-        s = SpsaSchedule(a=0.2, c=0.05, big_a=10.0)
-        a_k, c_k = s.step_sizes(4)
+    def test_step_size_formulas(self, monkeypatch):
+        a_k, c_k = training._step_sizes(4)
+        assert a_k == pytest.approx(0.001 / 55.0 ** 0.602)
+        assert c_k == pytest.approx(0.01 / 5.0 ** 0.101)
+        # the schedule reads the constants at call time
+        monkeypatch.setattr(training, "_STEP_A", 0.2)
+        monkeypatch.setattr(training, "_STEP_C", 0.05)
+        monkeypatch.setattr(training, "_STEP_BIG_A", 10.0)
+        a_k, c_k = training._step_sizes(4)
         assert a_k == pytest.approx(0.2 / 15.0 ** 0.602)
         assert c_k == pytest.approx(0.05 / 5.0 ** 0.101)
 
     def test_monotone_decay(self):
-        s = SpsaSchedule()
-        sizes = [s.step_sizes(k) for k in range(100)]
+        sizes = [training._step_sizes(k) for k in range(100)]
         a_seq = [a for a, _ in sizes]
         c_seq = [c for _, c in sizes]
         assert all(x > y > 0 for x, y in zip(a_seq, a_seq[1:]))
@@ -93,15 +95,8 @@ class TestTrainMicro:
         smoothed = smoothed_trace(result.trace)
         assert smoothed[-1] < 0.75 * smoothed[0]
 
-    def test_divergent_step_size_raises(self):
+    def test_divergent_step_size_raises(self, monkeypatch):
         config, x, z = micro_problem()
-        wild = SpsaSchedule(a=1e4, c=0.01)
+        monkeypatch.setattr(training, "_STEP_A", 1e4)
         with pytest.raises(RuntimeError, match="diverg"):
-            train_micro(config, x, z, iters=400, seed=0, schedule=wild)
-
-    def test_resumes_from_given_weights(self):
-        config, x, z = micro_problem()
-        first = train_micro(config, x, z, iters=10, seed=0)
-        resumed = train_micro(config, x, z, iters=5, seed=1,
-                              weights=first.weights)
-        assert resumed.initial_loss == pytest.approx(first.final_loss, rel=1e-6)
+            train_micro(config, x, z, iters=400, seed=0)
