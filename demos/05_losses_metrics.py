@@ -2,8 +2,9 @@
 Losses with an analytic gradient, and the evaluation metrics
 ============================================================
 
-Training minimizes a weighted sum of a raw rotation term, a root
-orientation term, and a geometric angular-velocity term. The gradient of
+Training minimizes a fixed weighted sum of a raw rotation term, a root
+orientation term, and a geometric angular-velocity term, weighted
+1 : 0.02 : 1. The gradient of
 that sum is derived analytically through Gram-Schmidt and the SO(3) log
 map; here we confirm it against central finite differences on one
 component. Evaluation reports rotation error in degrees and positional
@@ -14,11 +15,9 @@ import numpy as np
 
 from kinescan.kinematics import default_tree
 from kinescan.losses import (
-    LossWeights,
     grad_total_loss,
     loss_angvel_geo,
     loss_ori,
-    loss_pos,
     loss_rot,
     total_loss,
 )
@@ -29,25 +28,23 @@ from kinescan.synthetic import synthetic_pose
 tree = default_tree()
 z = synthetic_pose(seed=0, frames=12)
 y = synthetic_pose(seed=1, frames=12)
-w = LossWeights()
 
 print("loss_rot        :", loss_rot(y, z))
 print("loss_ori        :", loss_ori(y, z))
 print("loss_angvel_geo :", loss_angvel_geo(y, z))
-print("loss_pos        :", loss_pos(y, z, tree))
-total = total_loss(y, z, w)
-recomposed = (w.alpha * loss_rot(y, z) + w.beta * loss_ori(y, z)
-              + w.delta * loss_angvel_geo(y, z))
+total = total_loss(y, z)
+recomposed = (1.0 * loss_rot(y, z) + 0.02 * loss_ori(y, z)
+              + 1.0 * loss_angvel_geo(y, z))
 print("total           :", total, " (recomposition gap %.1e)"
       % abs(total - recomposed))
 
 # check one gradient component against a central difference
-g = grad_total_loss(y, z, w)
+g = grad_total_loss(y, z)
 h = 1e-5
 yp, ym = y.copy(), y.copy()
 yp[5, 3, 2] += h
 ym[5, 3, 2] -= h
-fd = (total_loss(yp, z, w) - total_loss(ym, z, w)) / (2 * h)
+fd = (total_loss(yp, z) - total_loss(ym, z)) / (2 * h)
 print("\nanalytic grad[5,3,2] = %.8f   finite difference = %.8f" % (g[5, 3, 2], fd))
 
 # the metric report on the same pair

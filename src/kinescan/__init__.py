@@ -5,14 +5,12 @@ training losses with analytic gradients, and motion metrics."""
 
 from .bench import run_benchmark
 from .io import (
-    RunConfig,
     Sequence,
     load_checkpoint,
     load_run_config,
     load_sequence,
     load_skeleton,
     save_checkpoint,
-    save_run_config,
     save_sequence,
     save_skeleton,
 )
@@ -27,14 +25,11 @@ from .kinematics import (
     uks_order,
 )
 from .losses import (
-    LossWeights,
     angular_velocity,
     grad_total_loss,
     loss_angvel_geo,
     loss_ori,
-    loss_pos,
     loss_rot,
-    loss_vel,
     total_loss,
 )
 from .metrics import MetricReport, jitter, metrics

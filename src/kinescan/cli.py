@@ -13,7 +13,13 @@ import numpy as np
 from . import io as kio
 from .bench import format_bench_table, run_benchmark
 from .kinematics import default_tree, fks_order, index_order, uks_order
-from .model import check_weights, infer_windowed, init_weights
+from .model import (
+    MICRO_CONFIG_KWARGS,
+    ModelConfig,
+    check_weights,
+    infer_windowed,
+    init_weights,
+)
 from .rotations import DegenerateRotationError, sixd_to_matrix
 from .synthetic import gen_synthetic, sparse_from_pose
 from .training import smoothed_trace, train_micro
@@ -46,21 +52,17 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
-def _load_run_config(path):
-    return kio.load_run_config(path) if path else kio.RunConfig()
-
-
 def cmd_infer(args) -> int:
-    rc = _load_run_config(args.config)
+    config = kio.load_run_config(args.config) if args.config else ModelConfig()
     seq = kio.load_sequence(args.input)
     if seq.kind != "sparse_input":
         raise ValueError(f"{args.input}: infer expects a sparse_input sequence")
     if args.weights is None:
-        weights = init_weights(rc.model)
+        weights = init_weights(config)
     else:
         weights = kio.load_checkpoint(args.weights)
-        check_weights(rc.model, weights, args.weights)
-    pose = infer_windowed(seq.data, rc.model, weights)
+        check_weights(config, weights, args.weights)
+    pose = infer_windowed(seq.data, config, weights)
     kio.save_sequence(args.out, kio.sequence_from_pose(pose, fps=seq.fps))
     print(f"inferred {pose.shape[0]} frames -> {args.out}")
     return 0
@@ -108,28 +110,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train_micro(args) -> int:
-    rc = kio.micro_run_config(seed=args.seed) if args.config is None \
-        else kio.load_run_config(args.config)
+    if args.config is None:
+        config = ModelConfig(seed=args.seed, **MICRO_CONFIG_KWARGS)
+    else:
+        config = kio.load_run_config(args.config)
     tree = kio.load_skeleton(args.skeleton) if args.skeleton else default_tree()
     if args.data:
         seq = kio.load_sequence(args.data)
         if seq.kind != "pose":
             raise ValueError(f"{args.data}: train-micro expects a pose sequence")
-        if seq.frames != rc.model.seq_len:
+        if seq.frames != config.seq_len:
             raise ValueError(
-                f"{args.data}: {seq.frames} frames, config expects {rc.model.seq_len}"
+                f"{args.data}: {seq.frames} frames, config expects {config.seq_len}"
             )
-        z, _ = kio.pose_from_sequence(seq)
-        fps = seq.fps
     else:
-        z_seq = gen_synthetic(args.seed, rc.model.seq_len, "pose", fps=rc.fps)
-        z, _ = kio.pose_from_sequence(z_seq)
-        fps = rc.fps
-    x = sparse_from_pose(np.asarray(z, dtype=np.float64), tree, fps=fps)
+        seq = gen_synthetic(args.seed, config.seq_len, "pose")
+    z, _ = kio.pose_from_sequence(seq)
+    x = sparse_from_pose(np.asarray(z, dtype=np.float64), tree, fps=seq.fps)
 
-    result = train_micro(rc.model, x, np.asarray(z, dtype=np.float64),
-                         iters=args.iters, seed=args.seed,
-                         loss_weights=rc.loss)
+    result = train_micro(config, x, np.asarray(z, dtype=np.float64),
+                         iters=args.iters, seed=args.seed)
     if args.out:
         kio.save_checkpoint(args.out, result.weights)
     if args.trace:
@@ -232,7 +232,7 @@ def _build_parser():
 
     p = sub.add_parser("bench", help="time the quadratic vs chunked realizations")
     p.add_argument("--t-list", type=_seq_lengths, default="256,512,1024,2048,4096")
-    p.add_argument("--chunk", type=int, default=16)
+    p.add_argument("--chunk", type=_int_at_least(1), default=16)
     p.add_argument("--trials", type=_int_at_least(1), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)

@@ -18,7 +18,6 @@ from .kinematics import (
     format_skeleton_text,
     parse_skeleton_text,
 )
-from .losses import LossWeights
 from .metrics import MetricReport
 from .model import ModelConfig
 
@@ -30,10 +29,7 @@ __all__ = [
     "pose_from_sequence",
     "load_skeleton",
     "save_skeleton",
-    "RunConfig",
     "load_run_config",
-    "save_run_config",
-    "micro_run_config",
     "save_checkpoint",
     "load_checkpoint",
     "format_metric_report",
@@ -203,40 +199,17 @@ def save_skeleton(path, tree: KinematicTree) -> None:
 # run config
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    model: ModelConfig = ModelConfig()
-    loss: LossWeights = LossWeights()
-    fps: float = 60.0
-
-    def __post_init__(self):
-        if not self.fps > 0:
-            raise ValueError("fps must be positive")
-
-
-# key -> (target, converter); targets: model / loss / top-level
+# key -> converter, one per ModelConfig field
 _CONFIG_KEYS = {}
 for _f in fields(ModelConfig):
     _tname = _f.type if isinstance(_f.type, str) else _f.type.__name__
-    _CONFIG_KEYS[_f.name] = ("model", {"int": int, "str": str}[_tname])
-for _f in fields(LossWeights):
-    _CONFIG_KEYS[_f.name] = ("loss", float)
-_CONFIG_KEYS["fps"] = ("top", float)
+    _CONFIG_KEYS[_f.name] = {"int": int, "str": str}[_tname]
 
 
-def save_run_config(path, rc: RunConfig) -> None:
-    lines = []
-    for f in fields(ModelConfig):
-        lines.append(f"{f.name}={getattr(rc.model, f.name)}")
-    for f in fields(LossWeights):
-        lines.append(f"{f.name}={_fmt(getattr(rc.loss, f.name))}")
-    lines.append(f"fps={_fmt(rc.fps)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_run_config(path) -> RunConfig:
-    model_kw, loss_kw, top_kw = {}, {}, {}
+def load_run_config(path) -> ModelConfig:
+    """A ModelConfig from ``key=value`` lines, one key per ModelConfig
+    field; ``#`` starts a comment."""
+    kwargs = {}
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -247,24 +220,14 @@ def load_run_config(path) -> RunConfig:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        target, conv = _CONFIG_KEYS[key]
         try:
-            parsed = conv(value)
+            kwargs[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
-        {"model": model_kw, "loss": loss_kw, "top": top_kw}[target][key] = parsed
     try:
-        return RunConfig(model=ModelConfig(**model_kw), loss=LossWeights(**loss_kw),
-                         **top_kw)
+        return ModelConfig(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def micro_run_config(seed: int = 0) -> RunConfig:
-    """A RunConfig at the derivative-free training scale."""
-    from .model import MICRO_CONFIG_KWARGS
-
-    return RunConfig(model=ModelConfig(seed=seed, **MICRO_CONFIG_KWARGS))
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,12 @@ objective is
 
     alpha * loss_rot + beta * loss_ori + delta * loss_angvel_geo
 
-with defaults (1, 0.02, 1). The positional terms loss_pos / loss_vel need a
-skeleton and are reported separately. Everything here computes in float64.
+with fixed weights (alpha, beta, delta) = (1, 0.02, 1). Everything here
+computes in float64.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import KinematicTree, forward_kinematics
 from .rotations import (
     geodesic_angle,
     hat,
@@ -25,13 +22,10 @@ from .rotations import (
 )
 
 __all__ = [
-    "LossWeights",
     "loss_rot",
     "loss_ori",
     "angular_velocity",
     "loss_angvel_geo",
-    "loss_pos",
-    "loss_vel",
     "total_loss",
     "grad_total_loss",
 ]
@@ -40,18 +34,10 @@ __all__ = [
 # of pi the gradient is undefined
 _THETA_MARGIN = 1e-5
 
-
-@dataclass(frozen=True)
-class LossWeights:
-    alpha: float = 1.0
-    beta: float = 0.02
-    delta: float = 1.0
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "delta"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be a nonnegative real")
+# weights of the rotation, root-orientation and angular-velocity terms
+_ALPHA = 1.0
+_BETA = 0.02
+_DELTA = 1.0
 
 
 def _check_pair(y, z):
@@ -96,34 +82,7 @@ def loss_angvel_geo(y: np.ndarray, z: np.ndarray) -> float:
     return float(np.abs(wz - wy).sum(axis=-1).mean(axis=-1).sum())
 
 
-def _fk_positions(p, tree, root):
-    if root is not None:
-        root = np.asarray(root, dtype=np.float64)
-    return forward_kinematics(p, tree, root_position=root)
-
-
-def loss_pos(y: np.ndarray, z: np.ndarray, tree: KinematicTree,
-             root_y: np.ndarray = None, root_z: np.ndarray = None) -> float:
-    """Mean squared L2 distance between forward-kinematics joint positions."""
-    y, z = _check_pair(y, z)
-    py = _fk_positions(y, tree, root_y)
-    pz = _fk_positions(z, tree, root_z)
-    return float((np.linalg.norm(py - pz, axis=-1) ** 2).mean())
-
-
-def loss_vel(y: np.ndarray, z: np.ndarray, tree: KinematicTree,
-             root_y: np.ndarray = None, root_z: np.ndarray = None) -> float:
-    """Mean squared L2 distance between consecutive-frame position deltas."""
-    y, z = _check_pair(y, z)
-    if y.shape[0] < 2:
-        raise ValueError("need at least two frames")
-    vy = np.diff(_fk_positions(y, tree, root_y), axis=0)
-    vz = np.diff(_fk_positions(z, tree, root_z), axis=0)
-    return float((np.linalg.norm(vy - vz, axis=-1) ** 2).mean())
-
-
-def total_loss(y: np.ndarray, z: np.ndarray,
-               weights: LossWeights = LossWeights()) -> float:
+def total_loss(y: np.ndarray, z: np.ndarray) -> float:
     """alpha * loss_rot + beta * loss_ori + delta * loss_angvel_geo.
 
     Single-frame sequences have no velocity steps; that term is then an
@@ -131,9 +90,7 @@ def total_loss(y: np.ndarray, z: np.ndarray,
     """
     y, z = _check_pair(y, z)
     geo = loss_angvel_geo(y, z) if y.shape[0] >= 2 else 0.0
-    return (weights.alpha * loss_rot(y, z)
-            + weights.beta * loss_ori(y, z)
-            + weights.delta * geo)
+    return _ALPHA * loss_rot(y, z) + _BETA * loss_ori(y, z) + _DELTA * geo
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +163,7 @@ def _gram_schmidt_with_jacobian(r):
     return rot, jac
 
 
-def grad_total_loss(y: np.ndarray, z: np.ndarray,
-                    weights: LossWeights = LossWeights()) -> np.ndarray:
+def grad_total_loss(y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Analytic d total_loss / d y, shape (L, J, 6).
 
     Chains through Gram-Schmidt, the relative rotation V_t = R_{t-1}^T R_t,
@@ -217,9 +173,9 @@ def grad_total_loss(y: np.ndarray, z: np.ndarray,
     """
     y, z = _check_pair(y, z)
     length, joints, _ = y.shape
-    grad = weights.alpha * np.sign(y - z) / y.size
-    grad[:, 0] += weights.beta * np.sign(y[:, 0] - z[:, 0]) / (length * 6)
-    if length < 2 or weights.delta == 0.0:
+    grad = _ALPHA * np.sign(y - z) / y.size
+    grad[:, 0] += _BETA * np.sign(y[:, 0] - z[:, 0]) / (length * 6)
+    if length < 2:
         return grad
 
     rot, jac = _gram_schmidt_with_jacobian(y)
@@ -227,7 +183,7 @@ def grad_total_loss(y: np.ndarray, z: np.ndarray,
     wy = matrix_to_log(v, validate=False)
     wz = angular_velocity(z)
     # term |wy - wz| enters as sum_t mean_j; subgradient sign(wy - wz)
-    grad_w = weights.delta * np.sign(wy - wz) / joints
+    grad_w = _DELTA * np.sign(wy - wz) / joints
     grad_v = _log_map_adjoint(v, grad_w)
 
     # V = A^T B with A = R_{t-1}, B = R_t: dL/dA = B G^T, dL/dB = A G

@@ -81,9 +81,12 @@ def validate_rotation(m: np.ndarray) -> np.ndarray:
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected (..., 3, 3) matrices, got shape {m.shape}")
     eye = np.eye(3)
-    ortho_err = np.abs(np.swapaxes(m, -1, -2) @ m - eye).max()
-    det_err = np.abs(np.linalg.det(m) - 1.0).max()
-    if ortho_err > 1e-6 or det_err > 1e-6:
+    # NaN or Inf entries make NaN errors, which compare false: reject
+    # unless both are within tolerance, and raise instead of warning
+    with np.errstate(invalid="ignore"):
+        ortho_err = np.abs(np.swapaxes(m, -1, -2) @ m - eye).max()
+        det_err = np.abs(np.linalg.det(m) - 1.0).max()
+    if not (ortho_err <= 1e-6 and det_err <= 1e-6):
         raise DegenerateRotationError(
             f"input is not a rotation (orthonormality error {ortho_err:.3g}, "
             f"determinant error {det_err:.3g})"

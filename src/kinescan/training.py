@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossWeights, total_loss
+from .losses import total_loss
 from .model import ModelConfig, init_weights, kinest_forward, parameter_count
 
 __all__ = [
@@ -77,8 +77,7 @@ def smoothed_trace(trace: np.ndarray, window: int = 50) -> np.ndarray:
 
 
 def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
-                iters: int = 500, seed: int = 0,
-                loss_weights: LossWeights = LossWeights()) -> TrainResult:
+                iters: int = 500, seed: int = 0) -> TrainResult:
     """Fit a micro configuration, from ``init_weights(config)``, to one
     (input, target) sequence pair.
 
@@ -107,7 +106,7 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
                 y = kinest_forward(x, config, _unflatten(vec, shapes))
             except (FloatingPointError, ValueError):
                 return np.inf
-        return total_loss(np.asarray(y, dtype=np.float64), z, loss_weights)
+        return total_loss(np.asarray(y, dtype=np.float64), z)
 
     initial = objective(theta)
     if not np.isfinite(initial):

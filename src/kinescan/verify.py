@@ -190,16 +190,16 @@ def check_fk_oracle(seed=0, poses=100):
     return True, f"{poses} poses, worst oracle deviation {worst:.3g}"
 
 
-def _fd_gradient(y, z, w, h=1e-5):
+def _fd_gradient(y, z, h=1e-5):
     grad = np.zeros_like(y)
     flat = grad.reshape(-1)
     yy = y.copy().reshape(-1)
     for i in range(yy.size):
         orig = yy[i]
         yy[i] = orig + h
-        lp = losses.total_loss(yy.reshape(y.shape), z, w)
+        lp = losses.total_loss(yy.reshape(y.shape), z)
         yy[i] = orig - h
-        lm = losses.total_loss(yy.reshape(y.shape), z, w)
+        lm = losses.total_loss(yy.reshape(y.shape), z)
         yy[i] = orig
         flat[i] = (lp - lm) / (2.0 * h)
     return grad
@@ -242,12 +242,11 @@ def _grad_pairs(seed, trials, frames, joints):
 def check_grad(seed=0, trials=3, frames=5, joints=4, h=1e-5):
     """Analytic gradient vs central finite differences on smooth inputs and
     on a still and a near-still prediction."""
-    w = losses.LossWeights()
     worst_clear = 0.0
     fracs = []
     for y, z in _grad_pairs(seed, trials, frames, joints):
-        g = losses.grad_total_loss(y, z, w)
-        fd = _fd_gradient(y, z, w, h=h)
+        g = losses.grad_total_loss(y, z)
+        fd = _fd_gradient(y, z, h=h)
         rel = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-10)
         fracs.append(float((rel <= 1e-4).mean()))
         clear = kink_mask(y, z, h)

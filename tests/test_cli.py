@@ -14,18 +14,18 @@ from kinescan.io import (
     Sequence,
     load_checkpoint,
     load_sequence,
-    micro_run_config,
-    save_run_config,
     save_sequence,
 )
 from kinescan.kinematics import index_order
 from kinescan.synthetic import gen_synthetic
 
+from conftest import MICRO_CONFIG_TEXT
+
 
 @pytest.fixture
 def micro_cfg_path(tmp_path):
     path = tmp_path / "micro.cfg"
-    save_run_config(path, micro_run_config())
+    path.write_text(MICRO_CONFIG_TEXT)
     return str(path)
 
 
@@ -75,13 +75,14 @@ class TestInfer:
         assert pose.kind == "pose"
         assert pose.frames == 30
 
-    def test_accepts_checkpoint_weights(self, tmp_path, micro_cfg_path, capsys):
+    def test_accepts_checkpoint_weights(self, tmp_path, micro_cfg_path, micro_config,
+                                        capsys):
         from kinescan.io import save_checkpoint
         from kinescan.model import init_weights
         inp = tmp_path / "in.txt"
         main(["gen-synthetic", "--frames", "10", "--seed", "1", "--out", str(inp)])
         ckpt = tmp_path / "w.ckpt"
-        save_checkpoint(ckpt, init_weights(micro_run_config().model))
+        save_checkpoint(ckpt, init_weights(micro_config))
         out = tmp_path / "out.txt"
         assert main(["infer", str(inp), "--config", micro_cfg_path,
                      "--weights", str(ckpt), "--out", str(out)]) == 0
@@ -239,9 +240,10 @@ class TestArgErrors:
         (["eval", "pred.txt", "gt.txt", "--fps", "0"], "--fps"),
         (["eval", "pred.txt", "gt.txt", "--fps", "nan"], "--fps"),
         (["infer", "in.txt", "--chunk", "16", "--out", "o.txt"], "--chunk"),
+        (["bench", "--chunk", "0"], "--chunk"),
     ], ids=["iters-negative", "trials-zero", "t-list-not-int", "t-list-zero",
             "frames-zero", "fps-zero", "eval-fps-zero", "eval-fps-nan",
-            "infer-chunk-removed"])
+            "infer-chunk-removed", "bench-chunk-zero"])
     def test_refused_flag_is_named(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)

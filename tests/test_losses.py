@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
+import kinescan.losses as losses_mod
 from kinescan.losses import (
-    LossWeights,
     _log_map_adjoint,
     angular_velocity,
     grad_total_loss,
     loss_angvel_geo,
     loss_ori,
-    loss_pos,
     loss_rot,
-    loss_vel,
     total_loss,
 )
 from kinescan.rotations import (
@@ -44,29 +42,21 @@ def smooth_pose(rng, frames, joints, scale=0.4):
     return matrix_to_sixd(exp_map(steps))
 
 
-def fd_grad(y, z, weights, h=1e-5):
+def set_weights(monkeypatch, alpha, beta, delta):
+    """Patch the fixed loss weights for one test."""
+    for name, value in (("_ALPHA", alpha), ("_BETA", beta), ("_DELTA", delta)):
+        monkeypatch.setattr(losses_mod, name, value)
+
+
+def fd_grad(y, z, h=1e-5):
     g = np.zeros_like(y)
     for idx in np.ndindex(y.shape):
         yp = y.copy()
         yp[idx] += h
         ym = y.copy()
         ym[idx] -= h
-        g[idx] = (total_loss(yp, z, weights) - total_loss(ym, z, weights)) / (2 * h)
+        g[idx] = (total_loss(yp, z) - total_loss(ym, z)) / (2 * h)
     return g
-
-
-class TestLossWeights:
-    def test_defaults(self):
-        w = LossWeights()
-        assert (w.alpha, w.beta, w.delta) == (1.0, 0.02, 1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(alpha=-0.1)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(delta=np.nan)
 
 
 class TestElementwiseLosses:
@@ -134,49 +124,20 @@ class TestVelocityLosses:
                                                         abs=1e-9)
 
 
-class TestPositionLosses:
-    def test_pos_zero_for_identical(self, tree, rng):
-        y = smooth_pose(rng, 3, 22, scale=0.2)
-        assert loss_pos(y, y, tree) == 0.0
-
-    def test_pos_equals_squared_root_offset(self, tree):
-        y = identity_pose(3, 22)
-        d = np.array([0.3, -0.1, 0.2])
-        got = loss_pos(y, y, tree, root_y=d, root_z=np.zeros(3))
-        assert got == pytest.approx(float(d @ d), abs=1e-12)
-
-    def test_vel_ignores_constant_offset(self, tree, rng):
-        y = smooth_pose(rng, 4, 22, scale=0.2)
-        d = np.array([1.0, 2.0, 3.0])
-        assert loss_vel(y, y, tree, root_y=d, root_z=np.zeros(3)) == \
-            pytest.approx(0.0, abs=1e-18)
-
-    def test_pos_matches_fk_loop(self, tree, rng):
-        from kinescan.kinematics import forward_kinematics
-        y = smooth_pose(rng, 3, 22, scale=0.2)
-        z = smooth_pose(rng, 3, 22, scale=0.2)
-        total = 0.0
-        for l in range(3):
-            py = forward_kinematics(y[l], tree)
-            pz = forward_kinematics(z[l], tree)
-            total += float(((py - pz) ** 2).sum(axis=-1).sum())
-        assert loss_pos(y, z, tree) == pytest.approx(total / (3 * 22))
-
-
 class TestTotalLoss:
     def test_recomposition(self, rng):
         y = smooth_pose(rng, 5, 6)
         z = smooth_pose(rng, 5, 6)
-        w = LossWeights(alpha=1.0, beta=0.02, delta=1.0)
-        expected = (w.alpha * loss_rot(y, z) + w.beta * loss_ori(y, z)
-                    + w.delta * loss_angvel_geo(y, z))
-        assert abs(total_loss(y, z, w) - expected) <= 1e-12
+        expected = (1.0 * loss_rot(y, z) + 0.02 * loss_ori(y, z)
+                    + 1.0 * loss_angvel_geo(y, z))
+        assert abs(total_loss(y, z) - expected) <= 1e-12
 
-    def test_affine_in_delta(self, rng):
+    def test_affine_in_delta(self, rng, monkeypatch):
         y = smooth_pose(rng, 5, 6)
         z = smooth_pose(rng, 5, 6)
-        base = total_loss(y, z, LossWeights(delta=1.0))
-        more = total_loss(y, z, LossWeights(delta=2.0))
+        base = total_loss(y, z)
+        monkeypatch.setattr(losses_mod, "_DELTA", 2.0)
+        more = total_loss(y, z)
         assert more - base == pytest.approx(loss_angvel_geo(y, z), abs=1e-12)
 
     def test_single_frame_drops_velocity_term(self):
@@ -192,45 +153,47 @@ class TestGradient:
         g = grad_total_loss(y, y)
         np.testing.assert_array_equal(g, np.zeros_like(y))
 
-    def test_matches_finite_differences(self):
+    def test_matches_finite_differences(self, monkeypatch):
+        set_weights(monkeypatch, alpha=1.0, beta=0.5, delta=1.0)
         rng = make_rng(12)
         y = smooth_pose(rng, 4, 3) + 0.1 * rng.standard_normal((4, 3, 6))
         z = smooth_pose(rng, 4, 3)
         assert np.abs(y - z).min() > 1e-4  # away from L1 kinks
-        w = LossWeights(alpha=1.0, beta=0.5, delta=1.0)
-        got = grad_total_loss(y, z, w)
-        want = fd_grad(y, z, w)
+        got = grad_total_loss(y, z)
+        want = fd_grad(y, z)
         scale = np.abs(want).max()
         assert np.abs(got - want).max() <= 1e-4 * scale
 
-    def test_rot_only_gradient_is_scaled_sign(self, rng):
+    def test_rot_only_gradient_is_scaled_sign(self, rng, monkeypatch):
         y = smooth_pose(rng, 3, 4)
         z = smooth_pose(rng, 3, 4)
-        g = grad_total_loss(y, z, LossWeights(alpha=2.0, beta=0.0, delta=0.0))
+        set_weights(monkeypatch, alpha=2.0, beta=0.0, delta=0.0)
+        g = grad_total_loss(y, z)
         np.testing.assert_allclose(g, 2.0 * np.sign(y - z) / y.size)
 
-    def test_ori_gradient_confined_to_root(self, rng):
+    def test_ori_gradient_confined_to_root(self, rng, monkeypatch):
         y = smooth_pose(rng, 3, 4)
         z = smooth_pose(rng, 3, 4)
-        g = grad_total_loss(y, z, LossWeights(alpha=0.0, beta=1.0, delta=0.0))
+        set_weights(monkeypatch, alpha=0.0, beta=1.0, delta=0.0)
+        g = grad_total_loss(y, z)
         assert np.abs(g[:, 1:]).max() == 0.0
         assert np.abs(g[:, 0]).max() > 0.0
 
-    def _check_against_fd(self, y, z):
+    def _check_against_fd(self, monkeypatch, y, z):
+        set_weights(monkeypatch, alpha=1.0, beta=0.5, delta=1.0)
         assert np.abs(y - z).min() > 1e-4  # away from L1 kinks
-        w = LossWeights(alpha=1.0, beta=0.5, delta=1.0)
-        got = grad_total_loss(y, z, w)
-        want = fd_grad(y, z, w)
+        got = grad_total_loss(y, z)
+        want = fd_grad(y, z)
         assert np.all(np.isfinite(got))
         assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
 
-    def test_still_prediction_matches_finite_differences(self):
+    def test_still_prediction_matches_finite_differences(self, monkeypatch):
         # every frame-to-frame angle is 0: the log map's Taylor branch
         rng = make_rng(21)
         y = np.repeat(1.3 * smooth_pose(rng, 1, 3), 4, axis=0)
-        self._check_against_fd(y, smooth_pose(rng, 4, 3))
+        self._check_against_fd(monkeypatch, y, smooth_pose(rng, 4, 3))
 
-    def test_near_still_prediction_matches_finite_differences(self):
+    def test_near_still_prediction_matches_finite_differences(self, monkeypatch):
         # 3e-6 rad per frame, inside the Taylor branch but not zero
         rng = make_rng(22)
         start = rng.uniform(-1.0, 1.0, size=(1, 3, 3))
@@ -238,7 +201,7 @@ class TestGradient:
         axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
         steps = start + 3e-6 * axis * np.arange(4)[:, None, None]
         y = 1.3 * matrix_to_sixd(exp_map(steps))
-        self._check_against_fd(y, smooth_pose(rng, 4, 3))
+        self._check_against_fd(monkeypatch, y, smooth_pose(rng, 4, 3))
 
     def test_adjoint_continuous_across_taylor_switch(self):
         # the identity part carries k'/(2 sin theta), which is O(theta) in the

@@ -123,6 +123,18 @@ class TestValidateRotation:
         with pytest.raises(ValueError):
             validate_rotation(2.0 * np.eye(3))
 
+    @pytest.mark.parametrize("fn", [validate_rotation, matrix_to_log])
+    @pytest.mark.parametrize("value, entry", [
+        (np.nan, (0, 0)), (np.nan, (1, 2)), (np.inf, (1, 2)), (-np.inf, (1, 2)),
+    ], ids=["nan-diag", "nan-off", "inf-off", "neg-inf-off"])
+    def test_rejects_nonfinite_entry(self, fn, value, entry):
+        # the errors are then NaN, which compare false against the tolerance;
+        # numpy's invalid-value warnings must not surface instead
+        m = np.repeat(np.eye(3)[None], 4, axis=0)
+        m[2][entry] = value
+        with pytest.raises(DegenerateRotationError, match="not a rotation"):
+            fn(m)
+
 
 class TestLogMap:
     def test_identity_gives_zero(self):
