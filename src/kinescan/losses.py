@@ -77,8 +77,10 @@ def loss_angvel_geo(y: np.ndarray, z: np.ndarray) -> float:
     """Sum over steps of the joint-mean L1 distance between axis-angle
     velocities of prediction and ground truth."""
     y, z = _check_pair(y, z)
-    wy = angular_velocity(y)
-    wz = angular_velocity(z)
+    return _angvel_distance(angular_velocity(y), angular_velocity(z))
+
+
+def _angvel_distance(wy, wz):
     return float(np.abs(wz - wy).sum(axis=-1).mean(axis=-1).sum())
 
 
@@ -89,7 +91,14 @@ def total_loss(y: np.ndarray, z: np.ndarray) -> float:
     empty sum (zero).
     """
     y, z = _check_pair(y, z)
-    geo = loss_angvel_geo(y, z) if y.shape[0] >= 2 else 0.0
+    return _total_loss(y, z, angular_velocity(z) if z.shape[0] >= 2 else None)
+
+
+def _total_loss(y, z, wz):
+    """``total_loss(y, z)`` given the target's angular velocity ``wz``
+    (None for a single frame), so a fixed target computes it once."""
+    y, z = _check_pair(y, z)
+    geo = _angvel_distance(angular_velocity(y), wz) if wz is not None else 0.0
     return _ALPHA * loss_rot(y, z) + _BETA * loss_ori(y, z) + _DELTA * geo
 
 

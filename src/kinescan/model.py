@@ -13,6 +13,10 @@ bidirectional SSD over the mixed axis.
 
 Weights live in a flat name -> float32 ndarray dict. Activations, the SSD
 decays and the scan are all float32. The model needs numpy only.
+
+Every layer broadcasts over leading batch axes of its input and of its
+weights: weights stacked to shape (B,) + shape give B forwards in one
+call, each bit-identical to its unbatched forward. Time is always axis -2.
 """
 
 from dataclasses import dataclass
@@ -259,25 +263,34 @@ def _silu(x):
     return x
 
 
+def _linear(x, weights, name):
+    """x @ W + b with W, b = weights[name + ".weight"], weights[name + ".bias"];
+    the bias broadcasts over time (axis -2) and any leading batch axes."""
+    out = x @ weights[name + ".weight"]
+    out += weights[name + ".bias"][..., None, :]
+    return out
+
+
 def _layer_norm(x, scale, bias):
     d = x - x.mean(axis=-1, keepdims=True)
     # the same sum of squares np.var forms, without recentring x again
     var = np.square(d).mean(axis=-1, keepdims=True)
     d /= np.sqrt(var + _LN_EPS)
-    d *= scale
-    d += bias
+    d *= scale[..., None, :]
+    d += bias[..., None, :]
     return d
 
 
 def _causal_depthwise_conv(x, kernel, bias):
-    """Per-channel causal convolution: out[t] = sum_k kernel[k] x[t-K+1+k]."""
-    k = kernel.shape[0]
-    t = x.shape[0]
+    """Per-channel causal convolution along time (axis -2):
+    out[t] = sum_k kernel[k] x[t-K+1+k]."""
+    k = kernel.shape[-2]
+    t = x.shape[-2]
     out = np.zeros_like(x)
     # tap i reads x shifted down by k-1-i; taps are added in order of i
     for shift in reversed(range(min(k, t))):
-        out[shift:] += kernel[k - 1 - shift] * x[: t - shift]
-    out += bias
+        out[..., shift:, :] += kernel[..., k - 1 - shift, None, :] * x[..., : t - shift, :]
+    out += bias[..., None, :]
     return out
 
 
@@ -285,13 +298,13 @@ def embed(x: np.ndarray, weights: dict) -> np.ndarray:
     """Single linear layer lifting L x C input signals to L x E features."""
     x = np.asarray(x, dtype=np.float32)
     w = weights["embed.weight"]
-    if x.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"expected input shape (L, {w.shape[0]}), got {x.shape}")
-    return x @ w + weights["embed.bias"]
+    if x.ndim < 2 or x.shape[-1] != w.shape[-2]:
+        raise ValueError(f"expected input shape (L, {w.shape[-2]}), got {x.shape}")
+    return _linear(x, weights, "embed")
 
 
 def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
-    """One gated SSD block over an (T, W) sequence.
+    """One gated SSD block over a (..., T, W) sequence.
 
     X, B, C come from a shared layer norm through a linear layer and a causal
     depthwise conv with SiLU; the scalar decay a_t = exp(-softplus(raw_t))
@@ -302,29 +315,24 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float32)
     width = p.shape[-1]
     z = _layer_norm(p, weights[prefix + "ln.scale"], weights[prefix + "ln.bias"])
-    xbc = z @ weights[prefix + "xbc.weight"]
-    xbc += weights[prefix + "xbc.bias"]
+    xbc = _linear(z, weights, prefix + "xbc")
     xbc = _silu(
         _causal_depthwise_conv(
             xbc, weights[prefix + "conv.kernel"], weights[prefix + "conv.bias"]
         )
     )
     state = (xbc.shape[-1] - width) // 2
-    raw = z @ weights[prefix + "a.weight"] + weights[prefix + "a.bias"]
-    a = np.exp(-np.logaddexp(0.0, raw[:, 0]))
-    gate = z @ weights[prefix + "gate.weight"]
-    gate += weights[prefix + "gate.bias"]
-    gate = _silu(gate)
+    raw = _linear(z, weights, prefix + "a")
+    a = np.exp(-np.logaddexp(0.0, raw[..., 0]))
+    gate = _silu(_linear(z, weights, prefix + "gate"))
     gate *= chunked_scan(
-        SsdParams(a=a, b=xbc[:, width : width + state],
-                  c=xbc[:, width + state :], x=xbc[:, :width])
+        SsdParams(a=a, b=xbc[..., width : width + state],
+                  c=xbc[..., width + state :], x=xbc[..., :width])
     )
     h = _layer_norm(
         gate, weights[prefix + "out_ln.scale"], weights[prefix + "out_ln.bias"]
     )
-    out = h @ weights[prefix + "out.weight"]
-    out += weights[prefix + "out.bias"]
-    return out
+    return _linear(h, weights, prefix + "out")
 
 
 def bi_ssd(p: np.ndarray, weights: dict, prefix: str):
@@ -334,14 +342,14 @@ def bi_ssd(p: np.ndarray, weights: dict, prefix: str):
     frame t depends only on frames >= t.
     """
     f_f = ssd_block(p, weights, prefix + "fwd.")
-    f_b = ssd_block(p[::-1], weights, prefix + "bwd.")[::-1]
+    f_b = ssd_block(p[..., ::-1, :], weights, prefix + "bwd.")[..., ::-1, :]
     return f_f, f_b
 
 
 def lma(f: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
     """Local aggregation: SiLU(kernel-1 conv(LN(f))), no temporal mixing."""
     z = _layer_norm(f, weights[prefix + "ln.scale"], weights[prefix + "ln.bias"])
-    return _silu(z @ weights[prefix + "conv.weight"] + weights[prefix + "conv.bias"])
+    return _silu(_linear(z, weights, prefix + "conv"))
 
 
 def gma(f: np.ndarray, weights: dict, prefix: str, heads: int) -> np.ndarray:
@@ -351,27 +359,23 @@ def gma(f: np.ndarray, weights: dict, prefix: str, heads: int) -> np.ndarray:
     There is no positional encoding, so the block is permutation equivariant
     over frames.
     """
-    g = f @ weights[prefix + "in.weight"] + weights[prefix + "in.bias"]
+    g = _linear(f, weights, prefix + "in")
     z = _layer_norm(g, weights[prefix + "ln1.scale"], weights[prefix + "ln1.bias"])
-    q = z @ weights[prefix + "q.weight"] + weights[prefix + "q.bias"]
-    k = z @ weights[prefix + "k.weight"] + weights[prefix + "k.bias"]
-    v = z @ weights[prefix + "v.weight"] + weights[prefix + "v.bias"]
-    length, hidden = q.shape
+    q, k, v = (_linear(z, weights, prefix + name) for name in ("q", "k", "v"))
+    length, hidden = q.shape[-2:]
     dim = hidden // heads
-    # (heads, L, dim)
-    q = q.reshape(length, heads, dim).transpose(1, 0, 2)
-    k = k.reshape(length, heads, dim).transpose(1, 0, 2)
-    v = v.reshape(length, heads, dim).transpose(1, 0, 2)
-    logits = (q @ k.transpose(0, 2, 1)) / np.float32(np.sqrt(dim))
+    # (..., heads, L, dim)
+    q, k, v = (m.reshape(m.shape[:-1] + (heads, dim)).swapaxes(-3, -2) for m in (q, k, v))
+    logits = (q @ k.swapaxes(-1, -2)) / np.float32(np.sqrt(dim))
     logits -= logits.max(axis=-1, keepdims=True)
     att = np.exp(logits)
     att /= att.sum(axis=-1, keepdims=True)
-    ctx = (att @ v).transpose(1, 0, 2).reshape(length, hidden)
-    g = g + (ctx @ weights[prefix + "proj.weight"] + weights[prefix + "proj.bias"])
+    ctx = (att @ v).swapaxes(-3, -2).reshape(q.shape[:-3] + (length, hidden))
+    g = g + _linear(ctx, weights, prefix + "proj")
 
     z = _layer_norm(g, weights[prefix + "ln2.scale"], weights[prefix + "ln2.bias"])
-    ff = _silu(z @ weights[prefix + "ffn1.weight"] + weights[prefix + "ffn1.bias"])
-    return g + (ff @ weights[prefix + "ffn2.weight"] + weights[prefix + "ffn2.bias"])
+    ff = _silu(_linear(z, weights, prefix + "ffn1"))
+    return g + _linear(ff, weights, prefix + "ffn2")
 
 
 def tfm_forward(p: np.ndarray, weights: dict, prefix: str,
@@ -392,21 +396,20 @@ def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
     non-permutation order visits twice), project H -> E, then LMA and GMA.
     """
     t_in = np.asarray(t_in, dtype=np.float32)
-    length = t_in.shape[0]
-    h = t_in @ weights[prefix + "in.weight"] + weights[prefix + "in.bias"]
-    if h.shape[1] != config.mixed_hidden:
+    h = _linear(t_in, weights, prefix + "in")
+    if h.shape[-1] != config.mixed_hidden:
         raise ValueError(
-            f"mixed hidden {h.shape[1]} does not match J*D = {config.mixed_hidden}"
+            f"mixed hidden {h.shape[-1]} does not match J*D = {config.mixed_hidden}"
         )
-    s = h.reshape(length, NUM_JOINTS, config.joint_dim)
+    lead, length = h.shape[:-2], h.shape[-2]
+    s = h.reshape(lead + (length, NUM_JOINTS, config.joint_dim))
     flat = reorder_joint_features(s, order).reshape(
-        length * len(order), config.joint_dim
+        lead + (length * len(order), config.joint_dim)
     )
     f_f, f_b = bi_ssd(flat, weights, prefix)
-    mixed = (f_f + f_b).reshape(length, len(order), config.joint_dim)
+    mixed = (f_f + f_b).reshape(lead + (length, len(order), config.joint_dim))
     s_out = inverse_reorder_joint_features(mixed, order)
-    e = s_out.reshape(length, config.mixed_hidden) @ weights[prefix + "out.weight"]
-    e = e + weights[prefix + "out.bias"]
+    e = _linear(s_out.reshape(lead + (length, config.mixed_hidden)), weights, prefix + "out")
     e = lma(e, weights, prefix + "lma.")
     return gma(e, weights, prefix + "gma.", config.gma_heads)
 
@@ -442,11 +445,12 @@ def _layer_outputs(x, config, weights):
     for i in range(config.m_skfm):
         p = stmm_forward(p, weights, f"skfm{i}.", config, order)
         yield f"skfm{i}.", p
-    yield "regressor", p @ weights["regressor.weight"] + weights["regressor.bias"]
+    yield "regressor", _linear(p, weights, "regressor")
 
 
 def kinest_forward(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndarray:
-    """Full forward pass: (L, 36) tracking signal -> (L, 22, 6) rotations.
+    """Full forward pass: (L, 36) tracking signal -> (L, 22, 6) rotations,
+    with any leading batch axes of the input or the weights in front.
 
     A non-finite output raises FloatingPointError naming the first layer
     whose output is not finite, found by running the layers again.
@@ -459,4 +463,4 @@ def kinest_forward(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndar
         raise FloatingPointError(
             f"non-finite values in network output, first in layer {first!r}"
         )
-    return y.reshape(x.shape[0], NUM_JOINTS, 6)
+    return y.reshape(y.shape[:-1] + (NUM_JOINTS, 6))

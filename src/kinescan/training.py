@@ -1,8 +1,8 @@
 """Derivative-free micro-scale training via simultaneous perturbation.
 
 Each step draws one Rademacher direction, evaluates the objective at
-theta +- c_k * delta (two forward passes), and descends the resulting
-gradient estimate. Step sizes follow the standard decaying schedule
+theta +- c_k * delta (one forward pass over the two probes, stacked as a
+weight batch of 2), and descends the resulting gradient estimate. Step sizes follow the standard decaying schedule
 
     a_k = a / (k + 1 + A)^0.602        c_k = c / (k + 1)^0.101
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import total_loss
+from .losses import _total_loss, angular_velocity
 from .model import ModelConfig, init_weights, kinest_forward, parameter_count
 
 __all__ = [
@@ -59,10 +59,11 @@ def _flatten(weights):
 
 
 def _unflatten(vec, shapes):
+    """Weights from a (..., n) vector; leading axes become batch axes."""
     out = {}
     off = 0
     for name, shape, size in shapes:
-        out[name] = vec[off : off + size].reshape(shape).astype(np.float32)
+        out[name] = vec[..., off : off + size].reshape(vec.shape[:-1] + shape).astype(np.float32)
         off += size
     return out
 
@@ -94,19 +95,25 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
         )
     x = np.asarray(x, dtype=np.float32)
     z = np.asarray(z, dtype=np.float64)
+    # the target's angular velocity, computed once for every evaluation
+    wz = angular_velocity(z) if z.ndim == 3 and len(z) >= 2 else None
 
     theta, shapes = _flatten(weights)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def objective(vec):
+        """Losses at the weight vectors ``vec`` (..., n), from one forward
+        pass over the weight batch."""
         # a perturbation that blows up the forward pass reads as infinite
-        # loss so the divergence guard, not a crash, handles it
+        # loss, for every vector in the batch, so the divergence guard, not
+        # a crash, handles it
         with np.errstate(all="ignore"):
             try:
                 y = kinest_forward(x, config, _unflatten(vec, shapes))
             except (FloatingPointError, ValueError):
-                return np.inf
-        return total_loss(np.asarray(y, dtype=np.float64), z)
+                return np.full(vec.shape[:-1], np.inf)
+        y = np.asarray(y, dtype=np.float64).reshape((-1,) + y.shape[-3:])
+        return np.reshape([_total_loss(row, z, wz) for row in y], vec.shape[:-1])
 
     initial = objective(theta)
     if not np.isfinite(initial):
@@ -116,8 +123,8 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
     for k in range(iters):
         a_k, c_k = _step_sizes(k)
         delta = rng.integers(0, 2, size=theta.size).astype(np.float64) * 2.0 - 1.0
-        loss_plus = objective(theta + c_k * delta)
-        loss_minus = objective(theta - c_k * delta)
+        loss_plus, loss_minus = objective(np.stack([theta + c_k * delta,
+                                                    theta - c_k * delta]))
         trace[k] = 0.5 * (loss_plus + loss_minus)
         if np.isfinite(loss_plus) and np.isfinite(loss_minus):
             # rademacher entries are +-1, so delta^-1 = delta

@@ -458,6 +458,68 @@ class TestKinestForward:
             kinest_forward(rng.standard_normal((24, 36)), config, w)
 
 
+def stacked_weights(*weights):
+    return {name: np.stack([w[name] for w in weights]) for name in weights[0]}
+
+
+class TestWeightBatch:
+    @pytest.mark.parametrize("strategy", ["index", "fks", "uks"])
+    def test_micro_stacked_seeds_equal_unbatched_bitwise(self, rng, strategy):
+        config, w0 = micro_weights(scan_strategy=strategy)
+        _, w1 = micro_weights(scan_strategy=strategy, seed=1)
+        x = rng.standard_normal((24, 36)).astype(np.float32)
+        got = kinest_forward(x, config, stacked_weights(w0, w1))
+        assert got.shape == (2, 24, 22, 6) and got.dtype == np.float32
+        assert np.array_equal(got[0], kinest_forward(x, config, w0))
+        assert np.array_equal(got[1], kinest_forward(x, config, w1))
+
+    def test_full_fks_stacked_seeds_equal_unbatched_bitwise(self, rng):
+        configs = [ModelConfig(seed=s, scan_strategy="fks") for s in (0, 1)]
+        weights = [init_weights(c) for c in configs]
+        x = rng.standard_normal((96, 36)).astype(np.float32)
+        got = kinest_forward(x, configs[0], stacked_weights(*weights))
+        for i in range(2):
+            assert np.array_equal(got[i], kinest_forward(x, configs[0], weights[i]))
+
+    def test_batched_input_equals_unbatched_bitwise(self, rng):
+        config, w = micro_weights()
+        x = rng.standard_normal((2, 24, 36)).astype(np.float32)
+        got = kinest_forward(x, config, w)
+        for i in range(2):
+            assert np.array_equal(got[i], kinest_forward(x[i], config, w))
+
+    def test_batch_is_not_a_python_loop(self, monkeypatch, rng):
+        # the batch rides the scan's chunk axis: a weight batch of 2 makes
+        # the unbatched forward's 4 scan calls and 4 decay builds, each with
+        # (2, T) decays
+        import kinescan.ssd as ssd_mod
+
+        scans, builds = [], []
+        real_scan, real_build = model_mod.chunked_scan, ssd_mod.build_decay_matrix
+
+        def scan_recorder(params, *args, **kwargs):
+            scans.append(params.a.shape)
+            return real_scan(params, *args, **kwargs)
+
+        def build_recorder(a):
+            builds.append(a.shape)
+            return real_build(a)
+
+        monkeypatch.setattr(model_mod, "chunked_scan", scan_recorder)
+        monkeypatch.setattr(ssd_mod, "build_decay_matrix", build_recorder)
+        config, w0 = micro_weights()
+        _, w1 = micro_weights(seed=1)
+        x = rng.standard_normal((24, 36)).astype(np.float32)
+        kinest_forward(x, config, w0)
+        assert scans == [(24,), (24,), (24 * 22,), (24 * 22,)]
+        assert len(builds) == 4
+        scans.clear()
+        builds.clear()
+        kinest_forward(x, config, stacked_weights(w0, w1))
+        assert scans == [(2, 24), (2, 24), (2, 24 * 22), (2, 24 * 22)]
+        assert len(builds) == 4 and all(b[0] == 2 for b in builds)
+
+
 class TestInferWindowed:
     def test_matches_manual_windowing(self, rng):
         config, w = micro_weights()

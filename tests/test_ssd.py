@@ -257,6 +257,43 @@ class TestDtype:
         assert np.abs(got[16:] - tail).max() <= F32_RTOL * np.abs(tail).max()
 
 
+def stacked(rows):
+    """One SsdParams whose leading axis holds the given unbatched params."""
+    return SsdParams(*(np.stack([getattr(r, m) for r in rows]) for m in "abcx"))
+
+
+class TestBatchAxes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t,n,p", [(24, 4, 4), (96, 16, 32), (528, 4, 4), (2112, 16, 8)],
+                             ids=["T24-padded", "T96", "T528", "T2112"])
+    def test_batched_scan_equals_per_row_calls_bitwise(self, dtype, t, n, p):
+        rng = make_rng(t + n)
+        rows = [as_dtype(random_params(rng, t, n, p, a_lo=0.7), dtype) for _ in range(2)]
+        batch = stacked(rows)
+        assert batch.a.shape == (2, t) and batch.seq_len == t
+        got = chunked_scan(batch)
+        assert got.shape == (2, t, p) and got.dtype == dtype
+        for i, row in enumerate(rows):
+            assert np.array_equal(got[i], chunked_scan(row))
+        if dtype == np.float64:
+            scale = np.abs(got).max()
+            for form in (ssm_recurrence, ssd_matrix_form):
+                assert np.abs(form(batch) - got).max() <= 1e-10 * scale
+
+    def test_two_leading_axes(self, rng):
+        rows = [random_params(rng, 37, 3, 2) for _ in range(6)]
+        flat = chunked_scan(stacked(rows))
+        nested = SsdParams(*(getattr(stacked(rows), m).reshape((2, 3) + getattr(rows[0], m).shape)
+                             for m in "abcx"))
+        assert np.array_equal(chunked_scan(nested), flat.reshape(2, 3, 37, 2))
+
+    def test_mismatched_batch_axes_rejected(self, rng):
+        rows = [random_params(rng, 5, 3, 2) for _ in range(2)]
+        batch = stacked(rows)
+        with pytest.raises(ValueError, match="batch axes"):
+            SsdParams(a=batch.a, b=batch.b, c=batch.c, x=rows[0].x)
+
+
 class TestCausality:
     def test_future_zeroing_leaves_past_bits(self):
         rng = make_rng(11)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,54 @@ class TestTrainMicro:
         monkeypatch.setattr(training, "_STEP_A", 1e4)
         with pytest.raises(RuntimeError, match="diverg"):
             train_micro(config, x, z, iters=400, seed=0)
+
+
+# 10-iteration train_micro on micro_problem(), pinned bit for bit: the trace,
+# both losses as float.hex and the sha256 of the final weight bytes
+GOLDEN = {
+    0: (
+        ["0x1.9406354682e0ap+5", "0x1.c10deeca845a2p+5", "0x1.8ca6c2f1f5915p+5",
+         "0x1.7219251f694c6p+5", "0x1.7d04e2d59c77ap+5", "0x1.143c2250322dap+5",
+         "0x1.2b8586efe4656p+5", "0x1.ca247b19f1934p+4", "0x1.7ce246b1cc0d4p+4",
+         "0x1.888c7967fe7e8p+4"],
+        "0x1.98d25263ee1d7p+5", "0x1.a89d994d71cfap+4",
+        "bbcb1769d03cd0f80d8936c2b96c4c7ddbe1ad0e66ca01fbcdd43c688f515a62",
+    ),
+    3: (
+        ["0x1.8680f80cf1872p+5", "0x1.4165b95266076p+5", "0x1.30dc112e0b504p+5",
+         "0x1.64ac9000dee7fp+5", "0x1.36a197ce0ea00p+5", "0x1.e5f5f0ac10268p+4",
+         "0x1.f3fe3f3c8d44fp+4", "0x1.94ff8f3a74821p+4", "0x1.b1096044b87fap+4",
+         "0x1.ad5adc134e04ap+4"],
+        "0x1.98d25263ee1d7p+5", "0x1.cbabaefde88a9p+4",
+        "b02effcbb58aeb1e2a975e9da654caa3b496f13b7b0ee4c51267dc86a653148d",
+    ),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_ten_iterations_bit_for_bit(self, seed):
+        trace, initial, final, digest = GOLDEN[seed]
+        config, x, z = micro_problem()
+        result = train_micro(config, x, z, iters=10, seed=seed)
+        assert [float(v).hex() for v in result.trace] == trace
+        assert float(result.initial_loss).hex() == initial
+        assert float(result.final_loss).hex() == final
+        weight_bytes = b"".join(w.tobytes() for w in result.weights.values())
+        assert hashlib.sha256(weight_bytes).hexdigest() == digest
+
+    def test_failed_batched_forward_reads_infinite_for_both_probes(self, monkeypatch):
+        forward = training.kinest_forward
+
+        def fail_on_batch(x, config, weights):
+            if weights["embed.bias"].ndim > 1:
+                raise FloatingPointError("batched forward failed")
+            return forward(x, config, weights)
+
+        monkeypatch.setattr(training, "kinest_forward", fail_on_batch)
+        config, x, z = micro_problem()
+        result = train_micro(config, x, z, iters=10, seed=0)
+        assert np.all(result.trace == np.inf)
+        init = init_weights(config)
+        for name in init:
+            assert np.array_equal(result.weights[name], init[name])
