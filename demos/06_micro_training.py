@@ -2,10 +2,10 @@
 Derivative-free training at micro scale
 =======================================
 
-Two forward passes per iteration estimate a descent direction
-(simultaneous perturbation); no backpropagation through the network is
-needed. At the ~16k-parameter micro scale this fits one synthetic sequence
-in a few seconds.
+Two perturbed weight vectors per iteration, evaluated in one batched
+forward pass, estimate a descent direction (simultaneous perturbation); no
+backpropagation through the network is needed. At the ~16k-parameter micro
+scale this fits one synthetic sequence in a few seconds.
 """
 
 import numpy as np

@@ -2,7 +2,8 @@
 
 Each step draws one Rademacher direction, evaluates the objective at
 theta +- c_k * delta (one forward pass over the two probes, stacked as a
-weight batch of 2), and descends the resulting gradient estimate. Step sizes follow the standard decaying schedule
+weight batch of 2), and descends the resulting gradient estimate. Step
+sizes follow the standard decaying schedule
 
     a_k = a / (k + 1 + A)^0.602        c_k = c / (k + 1)^0.101
 
