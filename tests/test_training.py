@@ -138,6 +138,21 @@ class TestGolden:
         weight_bytes = b"".join(w.tobytes() for w in result.weights.values())
         assert hashlib.sha256(weight_bytes).hexdigest() == digest
 
+    def test_one_forward_per_step(self, monkeypatch):
+        # the first and last evaluations are unbatched; each step's two
+        # probes share one forward on a weight batch of 2
+        forward = training.kinest_forward
+        batches = []
+
+        def recorder(x, config, weights):
+            batches.append(weights["embed.bias"].shape[:-1])
+            return forward(x, config, weights)
+
+        monkeypatch.setattr(training, "kinest_forward", recorder)
+        config, x, z = micro_problem()
+        train_micro(config, x, z, iters=10, seed=0)
+        assert batches == [()] + [(2,)] * 10 + [()]
+
     def test_failed_batched_forward_reads_infinite_for_both_probes(self, monkeypatch):
         forward = training.kinest_forward
 
