@@ -12,7 +12,6 @@ from .io import (
     load_skeleton,
     save_checkpoint,
     save_sequence,
-    save_skeleton,
 )
 from .kinematics import (
     KinematicTree,

@@ -8,8 +8,6 @@ failure.
 import argparse
 import sys
 
-import numpy as np
-
 from . import io as kio
 from .bench import format_bench_table, run_benchmark
 from .kinematics import default_tree, fks_order, index_order, uks_order
@@ -126,10 +124,9 @@ def cmd_train_micro(args) -> int:
     else:
         seq = gen_synthetic(args.seed, config.seq_len, "pose")
     z, _ = kio.pose_from_sequence(seq)
-    x = sparse_from_pose(np.asarray(z, dtype=np.float64), tree, fps=seq.fps)
+    x = sparse_from_pose(z, tree, fps=seq.fps)
 
-    result = train_micro(config, x, np.asarray(z, dtype=np.float64),
-                         iters=args.iters, seed=args.seed)
+    result = train_micro(config, x, z, iters=args.iters, seed=args.seed)
     if args.out:
         kio.save_checkpoint(args.out, result.weights)
     if args.trace:

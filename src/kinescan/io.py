@@ -15,7 +15,6 @@ from .kinematics import (
     POSE_WIDTH,
     RIG_CHANNELS,
     KinematicTree,
-    format_skeleton_text,
     parse_skeleton_text,
 )
 from .metrics import MetricReport
@@ -28,7 +27,6 @@ __all__ = [
     "sequence_from_pose",
     "pose_from_sequence",
     "load_skeleton",
-    "save_skeleton",
     "load_run_config",
     "save_checkpoint",
     "load_checkpoint",
@@ -188,11 +186,6 @@ def load_skeleton(path) -> KinematicTree:
     if tree.num_joints != NUM_JOINTS:
         raise ValueError(f"{path}: expected {NUM_JOINTS} joints, got {tree.num_joints}")
     return tree
-
-
-def save_skeleton(path, tree: KinematicTree) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_skeleton_text(tree))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "inverse_reorder_joint_features",
     "forward_kinematics",
     "parse_skeleton_text",
-    "format_skeleton_text",
     "default_tree",
 ]
 
@@ -290,15 +289,6 @@ def parse_skeleton_text(text: str) -> KinematicTree:
     parent = tuple(entries[j][0] for j in range(n))
     offset = np.array([entries[j][1] for j in range(n)])
     return KinematicTree(parent=parent, offset=offset)
-
-
-def format_skeleton_text(tree: KinematicTree) -> str:
-    """Inverse of parse_skeleton_text (modulo comments), %.9g offsets."""
-    lines = []
-    for j in range(tree.num_joints):
-        ox, oy, oz = tree.offset[j]
-        lines.append(f"{j} {tree.parent[j]} {ox:.9g} {oy:.9g} {oz:.9g}")
-    return "\n".join(lines) + "\n"
 
 
 def default_tree() -> KinematicTree:

@@ -84,21 +84,18 @@ def _angvel_distance(wy, wz):
     return float(np.abs(wz - wy).sum(axis=-1).mean(axis=-1).sum())
 
 
-def total_loss(y: np.ndarray, z: np.ndarray) -> float:
+def total_loss(y: np.ndarray, z: np.ndarray, wz: np.ndarray = None) -> float:
     """alpha * loss_rot + beta * loss_ori + delta * loss_angvel_geo.
 
-    Single-frame sequences have no velocity steps; that term is then an
-    empty sum (zero).
+    ``wz`` is the target's ``angular_velocity(z)`` when the caller already
+    has it, so a fixed target computes it once. Single-frame sequences have
+    no velocity steps; that term is then an empty sum (zero).
     """
     y, z = _check_pair(y, z)
-    return _total_loss(y, z, angular_velocity(z) if z.shape[0] >= 2 else None)
-
-
-def _total_loss(y, z, wz):
-    """``total_loss(y, z)`` given the target's angular velocity ``wz``
-    (None for a single frame), so a fixed target computes it once."""
-    y, z = _check_pair(y, z)
-    geo = _angvel_distance(angular_velocity(y), wz) if wz is not None else 0.0
+    geo = 0.0
+    if len(z) >= 2:
+        geo = _angvel_distance(angular_velocity(y),
+                               angular_velocity(z) if wz is None else wz)
     return _ALPHA * loss_rot(y, z) + _BETA * loss_ori(y, z) + _DELTA * geo
 
 

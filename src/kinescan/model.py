@@ -11,8 +11,9 @@ conv) and global (single-layer attention) aggregators. An SKFM flattens the
 (frame, joint) axes along a kinematic-tree scan order and runs the same
 bidirectional SSD over the mixed axis.
 
-Weights live in a flat name -> float32 ndarray dict. Activations, the SSD
-decays and the scan are all float32. The model needs numpy only.
+Weights live in a flat name -> ndarray dict. Activations, the SSD decays
+and the scan follow the weights' dtype; float32 from ``init_weights`` and
+checkpoints. The model needs numpy only.
 
 Every layer broadcasts over leading batch axes of its input and of its
 weights: weights stacked to shape (B,) + shape give B forwards in one
@@ -295,9 +296,10 @@ def _causal_depthwise_conv(x, kernel, bias):
 
 
 def embed(x: np.ndarray, weights: dict) -> np.ndarray:
-    """Single linear layer lifting L x C input signals to L x E features."""
-    x = np.asarray(x, dtype=np.float32)
+    """Single linear layer lifting L x C input signals to L x E features,
+    with the input cast to the weights' dtype."""
     w = weights["embed.weight"]
+    x = np.asarray(x, dtype=w.dtype)
     if x.ndim < 2 or x.shape[-1] != w.shape[-2]:
         raise ValueError(f"expected input shape (L, {w.shape[-2]}), got {x.shape}")
     return _linear(x, weights, "embed")
@@ -312,7 +314,6 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
     to 0 above raw ~= 104); the scan output is gated by
     f1 = SiLU(Linear(LN(p))) and projected out through a second layer norm.
     """
-    p = np.asarray(p, dtype=np.float32)
     width = p.shape[-1]
     z = _layer_norm(p, weights[prefix + "ln.scale"], weights[prefix + "ln.bias"])
     xbc = _linear(z, weights, prefix + "xbc")
@@ -366,7 +367,7 @@ def gma(f: np.ndarray, weights: dict, prefix: str, heads: int) -> np.ndarray:
     dim = hidden // heads
     # (..., heads, L, dim)
     q, k, v = (m.reshape(m.shape[:-1] + (heads, dim)).swapaxes(-3, -2) for m in (q, k, v))
-    logits = (q @ k.swapaxes(-1, -2)) / np.float32(np.sqrt(dim))
+    logits = (q @ k.swapaxes(-1, -2)) / q.dtype.type(np.sqrt(dim))
     logits -= logits.max(axis=-1, keepdims=True)
     att = np.exp(logits)
     att /= att.sum(axis=-1, keepdims=True)
@@ -395,7 +396,6 @@ def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
     that mixed axis, scatter back to canonical joints (summing positions a
     non-permutation order visits twice), project H -> E, then LMA and GMA.
     """
-    t_in = np.asarray(t_in, dtype=np.float32)
     h = _linear(t_in, weights, prefix + "in")
     if h.shape[-1] != config.mixed_hidden:
         raise ValueError(
@@ -421,7 +421,7 @@ def infer_windowed(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndar
     a final partial window is left-padded by repeating its first frame, and
     only its last r predictions are kept, so exactly T frames come out.
     """
-    x = np.asarray(x, dtype=np.float32)
+    x = np.asarray(x)
     length = config.seq_len
     outputs = []
     for start in range(0, x.shape[0], length):

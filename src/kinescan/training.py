@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import _total_loss, angular_velocity
+from .losses import angular_velocity, total_loss
 from .model import ModelConfig, init_weights, kinest_forward, parameter_count
 
 __all__ = [
@@ -55,16 +55,17 @@ class TrainResult:
 def _flatten(weights):
     names = list(weights)
     vec = np.concatenate([weights[n].astype(np.float64).ravel() for n in names])
-    shapes = [(n, weights[n].shape, weights[n].size) for n in names]
-    return vec, shapes
+    layout = [(n, weights[n].shape, weights[n].size, weights[n].dtype) for n in names]
+    return vec, layout
 
 
-def _unflatten(vec, shapes):
-    """Weights from a (..., n) vector; leading axes become batch axes."""
+def _unflatten(vec, layout):
+    """Weights from a (..., n) vector, each cast back to its own dtype;
+    leading axes become batch axes."""
     out = {}
     off = 0
-    for name, shape, size in shapes:
-        out[name] = vec[..., off : off + size].reshape(vec.shape[:-1] + shape).astype(np.float32)
+    for name, shape, size, dtype in layout:
+        out[name] = vec[..., off : off + size].reshape(vec.shape[:-1] + shape).astype(dtype)
         off += size
     return out
 
@@ -94,12 +95,11 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
             f"configuration has {n_params} parameters; micro training is "
             f"capped at {PARAM_LIMIT}"
         )
-    x = np.asarray(x, dtype=np.float32)
     z = np.asarray(z, dtype=np.float64)
     # the target's angular velocity, computed once for every evaluation
     wz = angular_velocity(z) if z.ndim == 3 and len(z) >= 2 else None
 
-    theta, shapes = _flatten(weights)
+    theta, layout = _flatten(weights)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def objective(vec):
@@ -110,11 +110,11 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
         # a crash, handles it
         with np.errstate(all="ignore"):
             try:
-                y = kinest_forward(x, config, _unflatten(vec, shapes))
+                y = kinest_forward(x, config, _unflatten(vec, layout))
             except (FloatingPointError, ValueError):
                 return np.full(vec.shape[:-1], np.inf)
         y = np.asarray(y, dtype=np.float64).reshape((-1,) + y.shape[-3:])
-        return np.reshape([_total_loss(row, z, wz) for row in y], vec.shape[:-1])
+        return np.reshape([total_loss(row, z, wz) for row in y], vec.shape[:-1])
 
     initial = objective(theta)
     if not np.isfinite(initial):
@@ -141,7 +141,7 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
             high = 0
     final = objective(theta)
     return TrainResult(
-        weights=_unflatten(theta, shapes),
+        weights=_unflatten(theta, layout),
         trace=trace,
         initial_loss=float(initial),
         final_loss=float(final),

@@ -1,3 +1,4 @@
+import importlib.resources
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -15,10 +16,8 @@ from kinescan.io import (
     pose_from_sequence,
     save_checkpoint,
     save_sequence,
-    save_skeleton,
     sequence_from_pose,
 )
-from kinescan.kinematics import default_tree
 from kinescan.metrics import MetricReport
 from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig, init_weights
 from kinescan.synthetic import gen_synthetic
@@ -180,13 +179,6 @@ class TestPosePacking:
 
 
 class TestSkeletonFile:
-    def test_round_trip(self, tmp_path, tree):
-        path = tmp_path / "skel.txt"
-        save_skeleton(path, tree)
-        again = load_skeleton(path)
-        assert again.parent == tree.parent
-        np.testing.assert_array_equal(again.offset, tree.offset)
-
     def test_wrong_joint_count_rejected(self, tmp_path):
         path = tmp_path / "skel.txt"
         path.write_text("0 -1 0 0 0\n1 0 1 0 0\n")
@@ -353,6 +345,8 @@ class TestMetricReportText:
 # ---------------------------------------------------------------------------
 # corrupt files: every loader either loads or raises ValueError naming the path
 
+_BUNDLED_SKELETON = importlib.resources.files("kinescan").joinpath("data/skeleton_smpl22.txt")
+
 _FORMATS = {
     "checkpoint": (
         lambda path: save_checkpoint(path, init_weights(ModelConfig(seed=0, **MICRO_CONFIG_KWARGS))),
@@ -362,7 +356,7 @@ _FORMATS = {
         lambda path: save_sequence(path, gen_synthetic(1, 8, "sparse_input")),
         load_sequence,
     ),
-    "skeleton": (lambda path: save_skeleton(path, default_tree()), load_skeleton),
+    "skeleton": (lambda path: path.write_bytes(_BUNDLED_SKELETON.read_bytes()), load_skeleton),
     "run_config": (lambda path: path.write_text(MICRO_CONFIG_TEXT), load_run_config),
 }
 

@@ -9,7 +9,6 @@ from kinescan.kinematics import (
     ScanOrder,
     default_tree,
     fks_order,
-    format_skeleton_text,
     forward_kinematics,
     index_order,
     inverse_reorder_joint_features,
@@ -272,11 +271,6 @@ class TestForwardKinematics:
 
 
 class TestSkeletonText:
-    def test_round_trip(self, tree):
-        again = parse_skeleton_text(format_skeleton_text(tree))
-        assert again.parent == tree.parent
-        np.testing.assert_array_equal(again.offset, tree.offset)
-
     def test_comments_and_blank_lines_skipped(self):
         text = "# header\n\n0 -1 0 0 0\n1 0 1 0 0  # arm\n"
         t = parse_skeleton_text(text)

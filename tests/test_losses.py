@@ -146,6 +146,15 @@ class TestTotalLoss:
         assert total_loss(y, z) == pytest.approx(
             loss_rot(y, z) + 0.02 * loss_ori(y, z))
 
+    @pytest.mark.parametrize("frames", [1, 2, 5])
+    def test_precomputed_target_velocity_bit_for_bit(self, rng, frames):
+        y = smooth_pose(rng, frames, 6)
+        z = smooth_pose(rng, frames, 6)
+        # a single frame has an empty velocity sequence
+        wz = angular_velocity(z) if frames >= 2 else np.zeros((0, 6, 3))
+        assert total_loss(y, z, wz) == total_loss(y, z)
+        assert total_loss(y, z, None) == total_loss(y, z)
+
 
 class TestGradient:
     def test_zero_at_equality(self, rng):

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -458,6 +459,67 @@ class TestKinestForward:
             kinest_forward(rng.standard_normal((24, 36)), config, w)
 
 
+def float64_weights(weights):
+    return {name: w.astype(np.float64) for name, w in weights.items()}
+
+
+class TestFloat64Weights:
+    """Float64 weights run the same layers in float64, an in-package oracle
+    for the float32 forward; the bounds hold the measured worst case
+    (1.2e-5 full scale, 2.4e-6 micro, over weight seeds 0, 1 and 7) with
+    about 4x margin."""
+
+    def check(self, monkeypatch, config, seed, tol):
+        scans = []
+        real = model_mod.chunked_scan
+
+        def recorder(params, *args, **kwargs):
+            y = real(params, *args, **kwargs)
+            scans.append({m.dtype for m in (params.a, params.b, params.c, params.x, y)})
+            return y
+
+        monkeypatch.setattr(model_mod, "chunked_scan", recorder)
+        weights = init_weights(config)
+        w64 = float64_weights(weights)
+        x = make_rng(seed).standard_normal((config.seq_len, 36))
+        layers = list(model_mod._layer_outputs(x, config, w64))
+        assert all(out.dtype == np.float64 for _, out in layers)
+        assert len(scans) == 2 * (config.n_tfm + config.m_skfm)
+        assert all(dtypes == {np.dtype(np.float64)} for dtypes in scans)
+        y64 = kinest_forward(x, config, w64)
+        y32 = kinest_forward(x, config, weights)
+        assert y64.dtype == np.float64 and y32.dtype == np.float32
+        np.testing.assert_allclose(y32, y64, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("strategy", ["index", "fks", "uks"])
+    def test_micro(self, monkeypatch, strategy):
+        config, _ = micro_weights(scan_strategy=strategy, seed=7)
+        self.check(monkeypatch, config, 107, 1e-5)
+
+    def test_full_scale_fks(self, monkeypatch):
+        self.check(monkeypatch, ModelConfig(scan_strategy="fks", seed=7), 107, 5e-5)
+
+    @pytest.mark.parametrize("layer", ["embed", "ssd_block", "stmm_forward",
+                                       "kinest_forward", "infer_windowed"])
+    def test_no_float32_rounding_on_the_path(self, rng, layer):
+        # an input change far below float32 resolution reaches the output
+        config, w = micro_weights()
+        w = float64_weights(w)
+        order = scan_order_for(config.scan_strategy)
+        fn, shape = {
+            "embed": (lambda v: embed(v, w), (24, 36)),
+            "ssd_block": (lambda v: ssd_block(v, w, "tfm0.fwd."), (24, 16)),
+            "stmm_forward": (lambda v: stmm_forward(v, w, "skfm0.", config, order),
+                             (24, 16)),
+            "kinest_forward": (lambda v: kinest_forward(v, config, w), (24, 36)),
+            "infer_windowed": (lambda v: infer_windowed(v, config, w), (30, 36)),
+        }[layer]
+        x = rng.standard_normal(shape)
+        y = fn(x)
+        assert y.dtype == np.float64
+        assert not np.array_equal(y, fn(x + 1e-12))
+
+
 def stacked_weights(*weights):
     return {name: np.stack([w[name] for w in weights]) for name in weights[0]}
 
@@ -544,3 +606,35 @@ class TestInferWindowed:
         got = infer_windowed(x, config, w)
         padded = np.pad(x, ((19, 0), (0, 0)), mode="edge")
         assert np.array_equal(got, kinest_forward(padded, config, w)[-5:])
+
+
+# sha256 of the float32 bytes of full-scale outputs with seed-0 weights
+GOLDEN_FORWARD = {
+    "index": "a19b706622d8ce6a291a6f169c7b9075918fd873aca9e63fdbc566b8d3c8e3b7",
+    "fks": "145abfd9305b337691659f1d92de7fd33488b46055d0b19aa9ba2378ad6fbd81",
+    "uks": "9a04161ebcef3de3a06d52e8a5d948e30e30dd4d86537ae3b47d4be7d720e149",
+}
+GOLDEN_WINDOWED_FKS_130 = "1e81b288fc04832d03d7aad329537477094a1c63b38376e340b2902f7a7c3cb9"
+
+
+def sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+class TestGolden:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("strategy", sorted(GOLDEN_FORWARD))
+    def test_full_scale_forward_bit_for_bit(self, strategy, dtype):
+        # a float64 input is cast once, to the weights' float32
+        config = ModelConfig(scan_strategy=strategy)
+        x = make_rng(11).standard_normal((96, 36)).astype(dtype)
+        y = kinest_forward(x, config, init_weights(config))
+        assert y.dtype == np.float32
+        assert sha256(y) == GOLDEN_FORWARD[strategy]
+
+    def test_full_scale_fks_windowed_bit_for_bit(self):
+        config = ModelConfig(scan_strategy="fks")
+        x = make_rng(12).standard_normal((130, 36))
+        y = infer_windowed(x, config, init_weights(config))
+        assert y.shape == (130, 22, 6) and y.dtype == np.float32
+        assert sha256(y) == GOLDEN_WINDOWED_FKS_130

@@ -5,7 +5,7 @@ import pytest
 
 from kinescan import training
 from kinescan.kinematics import default_tree
-from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig, init_weights
+from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig, init_weights, parameter_count
 from kinescan.synthetic import sparse_from_pose, synthetic_pose
 from kinescan.training import PARAM_LIMIT, TrainResult, smoothed_trace, train_micro
 
@@ -124,6 +124,18 @@ GOLDEN = {
         "b02effcbb58aeb1e2a975e9da654caa3b496f13b7b0ee4c51267dc86a653148d",
     ),
 }
+
+
+class TestFlatten:
+    def test_round_trip_keeps_each_dtype(self, micro_config):
+        weights = init_weights(micro_config)
+        weights["embed.bias"] = weights["embed.bias"].astype(np.float64)
+        vec, layout = training._flatten(weights)
+        assert vec.dtype == np.float64 and vec.shape == (parameter_count(weights),)
+        again = training._unflatten(vec, layout)
+        for name, w in weights.items():
+            assert again[name].dtype == w.dtype
+            assert np.array_equal(again[name], w)
 
 
 class TestGolden:
