@@ -6,6 +6,7 @@ failure.
 """
 
 import argparse
+import math
 import sys
 
 from . import io as kio
@@ -166,14 +167,14 @@ def _int_at_least(low):
 
 
 def _positive_float(text):
-    """argparse type: a float above 0, so ``--fps 0`` is refused, not read
-    as unset."""
+    """argparse type: a finite float above 0, so ``--fps 0`` is refused, not
+    read as unset, and ``--fps inf`` is refused too."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {value}")
     return value
 
 

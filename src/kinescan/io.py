@@ -77,10 +77,11 @@ class Sequence:
             )
         if not np.all(np.isfinite(data)):
             raise ValueError("sequence values must be finite")
-        if not self.fps > 0:
-            raise ValueError("fps must be positive")
+        fps = float(self.fps)
+        if not (math.isfinite(fps) and fps > 0):
+            raise ValueError(f"fps must be a finite positive number, got {fps}")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "fps", float(self.fps))
+        object.__setattr__(self, "fps", fps)
 
     @property
     def frames(self) -> int:
@@ -276,6 +277,8 @@ def load_checkpoint(path) -> dict:
         nbytes = 4 * n
         if off + nbytes > len(blob):
             raise ValueError(f"{path}: truncated tensor {name!r}")
+        if name in weights:
+            raise ValueError(f"{path}: tensor {name!r} appears twice")
         data = np.frombuffer(blob, dtype="<f4", count=n, offset=off)
         off += nbytes
         weights[name] = data.reshape(dims).astype(np.float32)

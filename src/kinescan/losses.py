@@ -8,6 +8,11 @@ objective is
 
 with fixed weights (alpha, beta, delta) = (1, 0.02, 1). Everything here
 computes in float64.
+
+The losses broadcast over leading axes of the prediction ``y``: a
+(..., L, J, 6) batch against one (L, J, 6) target ``z`` gives an array of
+losses over the leading axes, each bit-identical to its row's own call; a
+single sequence gives a float. The gradient takes single sequences only.
 """
 
 import numpy as np
@@ -40,63 +45,76 @@ _BETA = 0.02
 _DELTA = 1.0
 
 
-def _check_pair(y, z):
+def _check_pair(y, z, batched=False):
+    """y and z as float64 (L, J, 6) pose sequences; with ``batched``, y may
+    carry leading axes in front of z's shape."""
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    if y.shape != z.shape:
+    if y.shape[max(y.ndim - 3, 0):] != z.shape or (y.ndim > 3 and not batched):
         raise ValueError(f"shape mismatch: {y.shape} vs {z.shape}")
-    if y.ndim != 3 or y.shape[-1] != 6:
-        raise ValueError(f"expected (L, J, 6) pose sequences, got {y.shape}")
+    if z.ndim != 3 or z.shape[-1] != 6:
+        raise ValueError(f"expected (L, J, 6) pose sequences, got {z.shape}")
     return y, z
 
 
-def loss_rot(y: np.ndarray, z: np.ndarray) -> float:
+def _scalar(loss):
+    """A float for one sequence, the array over y's leading axes otherwise."""
+    return float(loss) if np.ndim(loss) == 0 else loss
+
+
+def _rot(y, z):
+    return np.abs(y - z).reshape(y.shape[:-3] + (-1,)).mean(-1)
+
+
+def _ori(y, z):
+    return np.abs(y[..., 0, :] - z[:, 0]).mean(axis=(-2, -1))
+
+
+def loss_rot(y: np.ndarray, z: np.ndarray):
     """Mean absolute difference over all raw 6D components."""
-    y, z = _check_pair(y, z)
-    return float(np.mean(np.abs(y - z)))
+    return _scalar(_rot(*_check_pair(y, z, batched=True)))
 
 
-def loss_ori(y: np.ndarray, z: np.ndarray) -> float:
+def loss_ori(y: np.ndarray, z: np.ndarray):
     """Mean absolute difference over the root joint's 6D components only."""
-    y, z = _check_pair(y, z)
-    return float(np.mean(np.abs(y[:, 0] - z[:, 0])))
+    return _scalar(_ori(*_check_pair(y, z, batched=True)))
 
 
 def angular_velocity(p: np.ndarray) -> np.ndarray:
-    """Per-joint axis-angle of V_t = R_{t-1}^T R_t, shape (L-1, J, 3)."""
+    """Per-joint axis-angle of V_t = R_{t-1}^T R_t, shape (..., L-1, J, 3)."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 3 or p.shape[-1] != 6 or p.shape[0] < 2:
+    if p.ndim < 3 or p.shape[-1] != 6 or p.shape[-3] < 2:
         raise ValueError(f"expected (L >= 2, J, 6) pose sequence, got {p.shape}")
     r = sixd_to_matrix(p)
-    v = relative_rotation(r[:-1], r[1:])
+    v = relative_rotation(r[..., :-1, :, :, :], r[..., 1:, :, :, :])
     # products of Gram-Schmidt outputs are orthonormal already
     return matrix_to_log(v, validate=False)
 
 
-def loss_angvel_geo(y: np.ndarray, z: np.ndarray) -> float:
+def loss_angvel_geo(y: np.ndarray, z: np.ndarray):
     """Sum over steps of the joint-mean L1 distance between axis-angle
     velocities of prediction and ground truth."""
-    y, z = _check_pair(y, z)
-    return _angvel_distance(angular_velocity(y), angular_velocity(z))
+    y, z = _check_pair(y, z, batched=True)
+    return _scalar(_angvel_distance(angular_velocity(y), angular_velocity(z)))
 
 
 def _angvel_distance(wy, wz):
-    return float(np.abs(wz - wy).sum(axis=-1).mean(axis=-1).sum())
+    return np.abs(wz - wy).sum(-1).mean(-1).sum(-1)
 
 
-def total_loss(y: np.ndarray, z: np.ndarray, wz: np.ndarray = None) -> float:
+def total_loss(y: np.ndarray, z: np.ndarray, wz: np.ndarray = None):
     """alpha * loss_rot + beta * loss_ori + delta * loss_angvel_geo.
 
     ``wz`` is the target's ``angular_velocity(z)`` when the caller already
     has it, so a fixed target computes it once. Single-frame sequences have
     no velocity steps; that term is then an empty sum (zero).
     """
-    y, z = _check_pair(y, z)
+    y, z = _check_pair(y, z, batched=True)
     geo = 0.0
     if len(z) >= 2:
         geo = _angvel_distance(angular_velocity(y),
                                angular_velocity(z) if wz is None else wz)
-    return _ALPHA * loss_rot(y, z) + _BETA * loss_ori(y, z) + _DELTA * geo
+    return _scalar(_ALPHA * _rot(y, z) + _BETA * _ori(y, z) + _DELTA * geo)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,8 @@ def metrics(y: np.ndarray, z: np.ndarray, tree: KinematicTree,
     y, z = _check_pair(y, z)
     if y.shape[0] < 2:
         raise ValueError("need at least two frames")
-    if fps <= 0:
-        raise ValueError("fps must be positive")
+    if not (np.isfinite(fps) and fps > 0):
+        raise ValueError(f"fps must be a finite positive number, got {fps}")
 
     ry = sixd_to_matrix(y)
     rz = sixd_to_matrix(z)

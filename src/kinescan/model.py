@@ -273,9 +273,11 @@ def _linear(x, weights, name):
 
 
 def _layer_norm(x, scale, bias):
-    d = x - x.mean(axis=-1, keepdims=True)
-    # the same sum of squares np.var forms, without recentring x again
-    var = np.square(d).mean(axis=-1, keepdims=True)
+    # the sums and divisions np.mean performs, without its Python wrapper;
+    # the variance is the sum of squares np.var forms, without recentring
+    n = x.shape[-1]
+    d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(np.square(d), axis=-1, keepdims=True) / n
     d /= np.sqrt(var + _LN_EPS)
     d *= scale[..., None, :]
     d += bias[..., None, :]
@@ -284,13 +286,24 @@ def _layer_norm(x, scale, bias):
 
 def _causal_depthwise_conv(x, kernel, bias):
     """Per-channel causal convolution along time (axis -2):
-    out[t] = sum_k kernel[k] x[t-K+1+k]."""
+    out[t] = sum_k kernel[k] x[t-K+1+k].
+
+    Tap i reads x shifted down by k-1-i; taps are added in order of i, then
+    the bias. The first tap is written, not added to zeros, so an output
+    whose every tap product and bias is -0.0 stays -0.0 where a sum from
+    zero would read +0.0; no other bit depends on it.
+    """
     k = kernel.shape[-2]
     t = x.shape[-2]
-    out = np.zeros_like(x)
-    # tap i reads x shifted down by k-1-i; taps are added in order of i
-    for shift in reversed(range(min(k, t))):
-        out[..., shift:, :] += kernel[..., k - 1 - shift, None, :] * x[..., : t - shift, :]
+    first = min(k, t) - 1
+    out = np.empty_like(x)
+    out[..., :first, :] = 0
+    np.multiply(kernel[..., k - 1 - first, None, :], x[..., : t - first, :],
+                out=out[..., first:, :])
+    tmp = np.empty_like(x)
+    for shift in reversed(range(first)):
+        out[..., shift:, :] += np.multiply(kernel[..., k - 1 - shift, None, :],
+                                           x[..., : t - shift, :], out=tmp[..., : t - shift, :])
     out += bias[..., None, :]
     return out
 

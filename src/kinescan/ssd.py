@@ -77,7 +77,8 @@ class SsdParams:
             raise ValueError(
                 f"b and c disagree on state dimension: {self.b.shape[-1]} vs {self.c.shape[-1]}"
             )
-        if not np.all(np.isfinite(self.a)) or np.any(self.a < 0.0) or np.any(self.a > 1.0):
+        # NaN propagates through min and max and fails both comparisons
+        if not (self.a.min() >= 0.0 and self.a.max() <= 1.0):
             raise ValueError("decays a must be finite and lie in [0, 1]")
 
     @property

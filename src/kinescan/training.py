@@ -1,9 +1,9 @@
 """Derivative-free micro-scale training via simultaneous perturbation.
 
 Each step draws one Rademacher direction, evaluates the objective at
-theta +- c_k * delta (one forward pass over the two probes, stacked as a
-weight batch of 2), and descends the resulting gradient estimate. Step
-sizes follow the standard decaying schedule
+theta +- c_k * delta (one forward pass and one loss call over the two
+probes, stacked as a weight batch of 2), and descends the resulting
+gradient estimate. Step sizes follow the standard decaying schedule
 
     a_k = a / (k + 1 + A)^0.602        c_k = c / (k + 1)^0.101
 
@@ -61,11 +61,13 @@ def _flatten(weights):
 
 def _unflatten(vec, layout):
     """Weights from a (..., n) vector, each cast back to its own dtype;
-    leading axes become batch axes."""
+    leading axes become batch axes. The vector is cast once per dtype and
+    each tensor is a view into its cast."""
+    cast = {dtype: vec.astype(dtype) for dtype in {entry[3] for entry in layout}}
     out = {}
     off = 0
     for name, shape, size, dtype in layout:
-        out[name] = vec[..., off : off + size].reshape(vec.shape[:-1] + shape).astype(dtype)
+        out[name] = cast[dtype][..., off : off + size].reshape(vec.shape[:-1] + shape)
         off += size
     return out
 
@@ -104,7 +106,7 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
 
     def objective(vec):
         """Losses at the weight vectors ``vec`` (..., n), from one forward
-        pass over the weight batch."""
+        pass and one loss call over the weight batch."""
         # a perturbation that blows up the forward pass reads as infinite
         # loss, for every vector in the batch, so the divergence guard, not
         # a crash, handles it
@@ -113,8 +115,7 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
                 y = kinest_forward(x, config, _unflatten(vec, layout))
             except (FloatingPointError, ValueError):
                 return np.full(vec.shape[:-1], np.inf)
-        y = np.asarray(y, dtype=np.float64).reshape((-1,) + y.shape[-3:])
-        return np.reshape([total_loss(row, z, wz) for row in y], vec.shape[:-1])
+        return total_loss(np.asarray(y, np.float64), z, wz)
 
     initial = objective(theta)
     if not np.isfinite(initial):

@@ -144,6 +144,16 @@ class TestEval:
         assert main(["eval", str(pose), str(pose)]) == 0
         assert "jitter_pred: n/a" in capsys.readouterr().out
 
+    def test_infinite_fps_file_rejected_naming_path(self, tmp_path, capsys):
+        gt, gt_inf = tmp_path / "gt.txt", tmp_path / "gt_inf.txt"
+        main(["gen-synthetic", "--kind", "pose", "--frames", "6", "--out", str(gt)])
+        gt_inf.write_text(gt.read_text().replace("#fps 60\n", "#fps inf\n"))
+        capsys.readouterr()
+        assert main(["eval", str(gt), str(gt_inf)]) == 1
+        captured = capsys.readouterr()
+        assert f"{gt_inf}: fps must be a finite positive number" in captured.err
+        assert captured.out == ""
+
     def test_length_mismatch_rejected(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         main(["gen-synthetic", "--kind", "pose", "--frames", "6", "--out", str(a)])
@@ -239,16 +249,24 @@ class TestArgErrors:
         (["gen-synthetic", "--fps", "0", "--out", "o.txt"], "--fps"),
         (["eval", "pred.txt", "gt.txt", "--fps", "0"], "--fps"),
         (["eval", "pred.txt", "gt.txt", "--fps", "nan"], "--fps"),
+        (["gen-synthetic", "--fps", "inf", "--out", "o.txt"], "--fps"),
+        (["eval", "pred.txt", "gt.txt", "--fps", "inf"], "--fps"),
         (["infer", "in.txt", "--chunk", "16", "--out", "o.txt"], "--chunk"),
         (["bench", "--chunk", "0"], "--chunk"),
     ], ids=["iters-negative", "trials-zero", "t-list-not-int", "t-list-zero",
             "frames-zero", "fps-zero", "eval-fps-zero", "eval-fps-nan",
-            "infer-chunk-removed", "bench-chunk-zero"])
+            "fps-inf", "eval-fps-inf", "infer-chunk-removed", "bench-chunk-zero"])
     def test_refused_flag_is_named(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+    def test_fps_flag_must_be_finite_positive(self, capsys, value):
+        with pytest.raises(SystemExit):
+            main(["gen-synthetic", f"--fps={value}", "--out", "o.txt"])
+        assert "must be a finite positive number" in capsys.readouterr().err
 
 
 def test_readme_command_lines_parse():

@@ -55,6 +55,11 @@ class TestSequence:
         with pytest.raises(ValueError):
             Sequence(kind="sparse_input", data=np.zeros((2, 36)), fps=-1.0)
 
+    @pytest.mark.parametrize("fps", [np.inf, -np.inf, np.nan])
+    def test_non_finite_fps_rejected(self, fps):
+        with pytest.raises(ValueError, match="fps must be a finite positive number"):
+            Sequence(kind="sparse_input", data=np.zeros((2, 36)), fps=fps)
+
 
 class TestSequenceFile:
     def test_round_trip_bitwise(self, tmp_path, rng):
@@ -150,6 +155,14 @@ class TestSequenceFile:
         lines[5] = "nan" + lines[5][1:]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"bad\.txt: sequence values must be finite"):
+            load_sequence(path)
+
+    def test_infinite_fps_header_names_path(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        save_sequence(path, Sequence(kind="pose", data=np.ones((4, 132))))
+        path.write_text(path.read_text().replace("#fps 60\n", "#fps inf\n"))
+        with pytest.raises(ValueError,
+                           match=r"bad\.txt: fps must be a finite positive number, got inf"):
             load_sequence(path)
 
 
@@ -316,6 +329,17 @@ class TestCheckpoint:
         dims = np.array([1, 1, 1, 1], dtype="<u4").tobytes()
         path.write_bytes(raw.replace(dims, np.full(4, 2 ** 16, dtype="<u4").tobytes()))
         with pytest.raises(ValueError, match=r"w\.ckpt: truncated tensor 'a'"):
+            load_checkpoint(path)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        # two tensors of one size whose names differ in one byte, then made equal
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, {"a": np.zeros(2, dtype=np.float32),
+                               "b": np.ones(2, dtype=np.float32)})
+        raw = path.read_bytes()
+        tail = raw.rindex(b"b")
+        path.write_bytes(raw[:tail] + b"a" + raw[tail + 1:])
+        with pytest.raises(ValueError, match=r"w\.ckpt: tensor 'a' appears twice"):
             load_checkpoint(path)
 
     def test_scalar_saved_as_length_one_vector(self, tmp_path):

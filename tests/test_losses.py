@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import kinescan.losses as losses_mod
+from kinescan.kinematics import default_tree
 from kinescan.losses import (
     _log_map_adjoint,
     angular_velocity,
@@ -11,6 +12,7 @@ from kinescan.losses import (
     loss_rot,
     total_loss,
 )
+from kinescan.metrics import metrics
 from kinescan.rotations import (
     DegenerateRotationError,
     exp_map,
@@ -154,6 +156,76 @@ class TestTotalLoss:
         wz = angular_velocity(z) if frames >= 2 else np.zeros((0, 6, 3))
         assert total_loss(y, z, wz) == total_loss(y, z)
         assert total_loss(y, z, None) == total_loss(y, z)
+
+
+def _total_with_wz(y, z):
+    # a single frame has an empty velocity sequence
+    wz = angular_velocity(z) if len(z) >= 2 else np.zeros((0,) + z.shape[1:-1] + (3,))
+    return total_loss(y, z, wz)
+
+
+BROADCAST_LOSSES = {
+    "rot": loss_rot,
+    "ori": loss_ori,
+    "angvel_geo": loss_angvel_geo,
+    "total": total_loss,
+    "total_with_wz": _total_with_wz,
+}
+
+
+def noisy_batch(seed, rows, frames):
+    """A (rows, frames, 22, 6) batch of noisy smooth poses and one target."""
+    rng = make_rng(seed)
+    z = smooth_pose(rng, frames, 22)
+    y = np.stack([smooth_pose(rng, frames, 22) for _ in range(rows)])
+    return y + 0.05 * rng.standard_normal(y.shape), z
+
+
+class TestBroadcastLosses:
+    @pytest.mark.parametrize("frames", [24, 1])
+    @pytest.mark.parametrize("name", sorted(BROADCAST_LOSSES))
+    def test_batch_equals_per_row_calls_bit_for_bit(self, name, frames):
+        fn = BROADCAST_LOSSES[name]
+        y, z = noisy_batch(frames, 3, frames)
+        if name == "angvel_geo" and frames == 1:
+            with pytest.raises(ValueError):
+                fn(y, z)
+            return
+        got = fn(y, z)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        rows = [fn(row, z) for row in y]
+        assert all(isinstance(v, float) for v in rows)
+        assert [float(v).hex() for v in got] == [v.hex() for v in rows]
+
+    def test_two_leading_axes(self):
+        y, z = noisy_batch(5, 6, 24)
+        got = total_loss(y.reshape((2, 3) + y.shape[1:]), z)
+        assert got.shape == (2, 3)
+        assert [float(v).hex() for v in got.ravel()] == \
+            [total_loss(row, z).hex() for row in y]
+
+    def test_angular_velocity_batch_equals_rows_bit_for_bit(self):
+        y, _ = noisy_batch(6, 3, 24)
+        got = angular_velocity(y)
+        assert got.shape == (3, 23, 22, 3)
+        for row, want in zip(got, (angular_velocity(r) for r in y)):
+            assert row.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BROADCAST_LOSSES))
+    def test_trailing_shape_mismatch_raises(self, name):
+        fn = BROADCAST_LOSSES[name]
+        y, z = noisy_batch(7, 3, 24)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            fn(y[:, :, :21], z)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            fn(y[:, :23], z)
+
+    def test_gradient_and_metrics_take_one_sequence(self):
+        y, z = noisy_batch(8, 2, 6)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            grad_total_loss(y, z)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            metrics(y, z, default_tree())
 
 
 class TestGradient:

@@ -149,6 +149,11 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics(identity_pose(4), identity_pose(4), tree, fps=0.0)
 
+    @pytest.mark.parametrize("fps", [np.inf, np.nan])
+    def test_non_finite_fps_rejected(self, tree, fps):
+        with pytest.raises(ValueError, match="fps must be a finite positive number"):
+            metrics(identity_pose(4), identity_pose(4), tree, fps=fps)
+
     def test_items_lists_every_field(self, tree, rng):
         y = smooth_pose(rng, 5)
         report = metrics(y, y, tree)

@@ -136,6 +136,19 @@ class TestPrimitives:
         assert np.array_equal(got, zero_padded_conv(x, kernel, bias))
         assert np.array_equal(x, x_in)
 
+    def test_causal_conv_negative_zero_only_where_every_term_is(self):
+        # the first tap is written, not added to zeros: a row whose tap
+        # products and bias are all -0.0 stays -0.0; any +0.0 term gives +0.0
+        x = np.full((5, 2), -0.0, dtype=np.float32)
+        kernel = np.ones((3, 2), dtype=np.float32)
+        bias = np.float32([-0.0, 0.0])
+        got = _causal_depthwise_conv(x, kernel, bias)
+        want = zero_padded_conv(x, kernel, bias)
+        assert np.array_equal(got, want)
+        assert np.signbit(got[:, 1]).sum() == 0 and np.signbit(want).sum() == 0
+        # rows 0 and 1 see zero padding: +0.0
+        assert np.signbit(got[:, 0]).tolist() == [False, False, True, True, True]
+
 
 class TestModelConfig:
     def test_defaults_valid(self):

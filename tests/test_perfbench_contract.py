@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from kinescan import model
+from kinescan import model, training
 from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig, init_weights
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -94,3 +94,26 @@ def test_workload_calls_construct_and_run(bench, tmp_path):
         workload = cls(1, str(tmp_path))
         workload.setup_control(scan_strategy=scan)
         workload.control()
+
+
+def test_traced_training_times_the_loss(bench):
+    # a train_micro that stops calling the public total_loss drops
+    # training.loss.ms from the benchmark's train-micro trace
+    config = ModelConfig(seed=0, **MICRO_CONFIG_KWARGS)
+    gt, x = bench["workloads"].recording(1, config.seq_len)
+    z = gt.data.reshape(-1, 22, 6).astype(np.float64)
+    tracer = bench["spans"].Tracer()
+    tracer.install()
+    try:
+        with tracer.op(0):
+            training.train_micro(config, x, z, iters=2, seed=0)
+    finally:
+        tracer.uninstall()
+    by_id = {span[1]: span for span in tracer.spans}
+    loss_parents = [by_id[span[2]][3] for span in tracer.spans
+                    if span[3] == "losses.total_loss"]
+    # one unbatched call at each end, one batched call per iteration
+    assert loss_parents == ["training.train_micro"] * 4
+    summary = bench["spans"].op_summaries(tracer)[0]
+    assert summary["train_ms"]["training.loss.ms"] > 0.0
+    assert summary["counts"]["training.evals"] == 4

@@ -62,6 +62,18 @@ class TestSsdParams:
                 SsdParams(a=np.array([0.5, bad]), b=np.ones((2, 1)),
                           c=np.ones((2, 1)), x=np.ones((2, 1)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0,), (4,), (2, 4)],
+                             ids=["first", "middle", "batched-row"])
+    def test_non_finite_decay_rejected(self, dtype, bad, where):
+        lead = (3,) if len(where) == 2 else ()
+        a = np.full(lead + (9,), 0.5, dtype=dtype)
+        a[where] = bad
+        ones = np.ones(lead + (9, 2), dtype=dtype)
+        with pytest.raises(ValueError, match=r"decays a must be finite and lie in \[0, 1\]"):
+            SsdParams(a=a, b=ones, c=ones, x=ones)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SsdParams(a=np.ones(0), b=np.ones((0, 1)), c=np.ones((0, 1)),

@@ -137,6 +137,22 @@ class TestFlatten:
             assert again[name].dtype == w.dtype
             assert np.array_equal(again[name], w)
 
+    def test_batch_unflatten_equals_per_tensor_cast(self, micro_config):
+        weights = init_weights(micro_config)
+        for name in ("embed.bias", "tfm0.fwd.conv.kernel", "regressor.weight"):
+            weights[name] = weights[name].astype(np.float64)
+        vec, layout = training._flatten(weights)
+        # float64 values that float32 cannot hold, so every cast rounds
+        batch = vec + 1e-3 * np.random.default_rng(0).standard_normal((2, vec.size))
+        got = training._unflatten(batch, layout)
+        assert got.keys() == weights.keys()
+        off = 0
+        for name, shape, size, dtype in layout:
+            want = batch[:, off : off + size].reshape((2,) + shape).astype(dtype)
+            off += size
+            assert got[name].dtype == want.dtype and got[name].shape == want.shape
+            assert got[name].tobytes() == want.tobytes()
+
 
 class TestGolden:
     @pytest.mark.parametrize("seed", sorted(GOLDEN))
@@ -161,6 +177,20 @@ class TestGolden:
             return forward(x, config, weights)
 
         monkeypatch.setattr(training, "kinest_forward", recorder)
+        config, x, z = micro_problem()
+        train_micro(config, x, z, iters=10, seed=0)
+        assert batches == [()] + [(2,)] * 10 + [()]
+
+    def test_one_loss_call_per_forward(self, monkeypatch):
+        # each forward's poses, batched or not, go to total_loss in one call
+        loss = training.total_loss
+        batches = []
+
+        def recorder(y, z, wz=None):
+            batches.append(np.shape(y)[:-3])
+            return loss(y, z, wz)
+
+        monkeypatch.setattr(training, "total_loss", recorder)
         config, x, z = micro_problem()
         train_micro(config, x, z, iters=10, seed=0)
         assert batches == [()] + [(2,)] * 10 + [()]
