@@ -12,11 +12,10 @@ world positions along the parent chain.
 import numpy as np
 
 from kinescan.kinematics import (
+    SCAN_ORDERS,
     SMPL_JOINT_NAMES,
     default_tree,
-    fks_order,
     forward_kinematics,
-    uks_order,
 )
 from kinescan.rotations import exp_map
 
@@ -25,13 +24,13 @@ tree = default_tree()
 print("joints:", ", ".join(SMPL_JOINT_NAMES[:8]), "...")
 print("parent pointers:", tree.parent)
 
-fks = fks_order()
-starts = [k for k, j in enumerate(fks.forward) if j == 0]
+fks = SCAN_ORDERS["fks"]
+starts = [k for k, j in enumerate(fks) if j == 0]
 print("\nFKS,", len(fks), "entries; branches start at", starts)
-print(" ", fks.forward)
-uks = uks_order()
-print("UKS,", len(uks), "entries; root sits at position", uks.forward.index(0))
-print(" ", uks.forward)
+print(" ", fks)
+uks = SCAN_ORDERS["uks"]
+print("UKS,", len(uks), "entries; root sits at position", uks.index(0))
+print(" ", uks)
 print("the backward branch scans the flattened (frame, joint) axis reversed")
 
 # rest pose: every local rotation is the identity, so joint positions are

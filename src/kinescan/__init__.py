@@ -14,14 +14,11 @@ from .io import (
     save_sequence,
 )
 from .kinematics import (
+    SCAN_ORDERS,
     KinematicTree,
-    ScanOrder,
     default_tree,
-    fks_order,
     forward_kinematics,
-    index_order,
     reorder_joint_features,
-    uks_order,
 )
 from .losses import (
     angular_velocity,

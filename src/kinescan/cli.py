@@ -11,7 +11,7 @@ import sys
 
 from . import io as kio
 from .bench import format_bench_table, run_benchmark
-from .kinematics import default_tree, fks_order, index_order, uks_order
+from .kinematics import SCAN_ORDERS, default_tree
 from .model import (
     MICRO_CONFIG_KWARGS,
     ModelConfig,
@@ -33,14 +33,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt_order(order):
-    return ",".join(str(j) for j in order.forward)
+_ORDER_LABELS = {
+    "index": "index (0..21)",
+    "fks": "fks (32 entries, 5 branches)",
+    "uks": "uks (22 entries, root central)",
+}
 
 
 def cmd_orders(args) -> int:
-    print(f"index (0..21): {_fmt_order(index_order())}")
-    print(f"fks (32 entries, 5 branches): {_fmt_order(fks_order())}")
-    print(f"uks (22 entries, root central): {_fmt_order(uks_order())}")
+    for name, order in SCAN_ORDERS.items():
+        print(f"{_ORDER_LABELS[name]}: {','.join(str(j) for j in order)}")
     return 0
 
 
@@ -194,7 +196,7 @@ def _build_parser():
     p = sub.add_parser("gen-synthetic", help="write a smooth synthetic sequence")
     p.add_argument("--kind", choices=("sparse_input", "pose"), default="sparse_input")
     p.add_argument("--frames", type=_int_at_least(1), default=96)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--fps", type=_positive_float, default=60.0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_synthetic)
@@ -215,7 +217,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run the cross-module property suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("train-micro", help="derivative-free training at micro scale")
@@ -223,7 +225,7 @@ def _build_parser():
     p.add_argument("--data", default=None)
     p.add_argument("--skeleton", default=None)
     p.add_argument("--iters", type=_int_at_least(0), default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--trace", default=None)
     p.set_defaults(fn=cmd_train_micro)
@@ -232,7 +234,7 @@ def _build_parser():
     p.add_argument("--t-list", type=_seq_lengths, default="256,512,1024,2048,4096")
     p.add_argument("--chunk", type=_int_at_least(1), default=16)
     p.add_argument("--trials", type=_int_at_least(1), default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(fn=cmd_bench)
     return parser
 

@@ -35,6 +35,8 @@ __all__ = [
 
 _SEQ_MAGIC = "#kinescan-sequence v1"
 _SEQ_KINDS = {"sparse_input": (RIG_CHANNELS,), "pose": (POSE_WIDTH, POSE_WIDTH + 3)}
+# the header fields a sequence is read by; other '#' lines are free comments
+_SEQ_FIELDS = ("kind", "frames", "columns", "fps")
 
 _CKPT_MAGIC = b"KINESCAN-CKPT\x00"
 _CKPT_VERSION = 1
@@ -109,10 +111,12 @@ def load_sequence(path) -> Sequence:
         raise ValueError(f"{path}: not a sequence file (bad magic line)")
     header = {}
     body_start = 1
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.startswith("#"):
             break
         key, _, value = line[1:].partition(" ")
+        if key in header and key in _SEQ_FIELDS:
+            raise ValueError(f"{path}:{lineno}: repeated header field {key!r}")
         header[key] = value
         body_start += 1
     kind = _header_field(path, header, "kind", str)
@@ -214,6 +218,8 @@ def load_run_config(path) -> ModelConfig:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in kwargs:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
         try:
             kwargs[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:

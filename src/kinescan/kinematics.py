@@ -1,6 +1,7 @@
 """SMPL-22 skeleton topology, kinematic-tree scan orders, forward kinematics.
 
-The three scan orders linearize the 22-joint tree for sequence kernels:
+The three scan orders in ``SCAN_ORDERS`` linearize the 22-joint tree for
+sequence kernels:
 
 * index order: joints 0..21 as stored;
 * forward kinematic scan (FKS): five root-to-leaf branches concatenated,
@@ -20,13 +21,9 @@ __all__ = [
     "POSE_WIDTH",
     "TRACKED_JOINTS",
     "RIG_CHANNELS",
-    "SMPL_PARENTS",
     "SMPL_JOINT_NAMES",
+    "SCAN_ORDERS",
     "KinematicTree",
-    "ScanOrder",
-    "index_order",
-    "fks_order",
-    "uks_order",
     "reorder_joint_features",
     "inverse_reorder_joint_features",
     "forward_kinematics",
@@ -41,10 +38,6 @@ POSE_WIDTH = NUM_JOINTS * 6
 TRACKED_JOINTS = (15, 20, 21)
 # per tracked part: position (3), 6D rotation (6), velocity (3); 36 in all
 RIG_CHANNELS = len(TRACKED_JOINTS) * 12
-
-SMPL_PARENTS = (
-    -1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 12, 13, 14, 16, 17, 18, 19,
-)
 
 SMPL_JOINT_NAMES = (
     "pelvis", "left_hip", "right_hip", "spine1", "left_knee", "right_knee",
@@ -69,6 +62,15 @@ _UKS_FORWARD = (
     21, 19, 17, 14, 15, 12, 20, 18, 16, 13, 9, 6, 3, 0,
     1, 4, 7, 10, 2, 5, 8, 11,
 )
+
+# scan strategy name -> joint visitation order; the model's backward branch
+# scans the flattened (frame, joint) axis reversed, so only the forward
+# order is stored
+SCAN_ORDERS = {
+    "index": tuple(range(NUM_JOINTS)),
+    "fks": _FKS_FORWARD,
+    "uks": _UKS_FORWARD,
+}
 
 
 @dataclass(frozen=True)
@@ -126,55 +128,21 @@ class KinematicTree:
         return self.parent.index(-1)
 
 
-@dataclass(frozen=True)
-class ScanOrder:
-    """A joint visitation order. The model's backward branch scans the
-    flattened (frame, joint) axis reversed, so only ``forward`` is stored."""
-
-    forward: tuple
-
-    def __post_init__(self):
-        forward = tuple(int(j) for j in self.forward)
-        missing = set(range(NUM_JOINTS)) - set(forward)
-        if missing:
-            raise ValueError(f"scan order misses joints {sorted(missing)}")
-        if any(not 0 <= j < NUM_JOINTS for j in forward):
-            raise ValueError("scan order contains out-of-range joint indices")
-        object.__setattr__(self, "forward", forward)
-
-    def __len__(self) -> int:
-        return len(self.forward)
-
-
-def index_order() -> ScanOrder:
-    """Joints visited as stored: 0, 1, ..., 21."""
-    return ScanOrder(tuple(range(NUM_JOINTS)))
-
-
-def fks_order() -> ScanOrder:
-    """Five-branch root-to-leaf traversal, 32 entries (root appears 5x)."""
-    return ScanOrder(_FKS_FORWARD)
-
-
-def uks_order() -> ScanOrder:
-    """Single extremity-to-extremity permutation, root at position 13."""
-    return ScanOrder(_UKS_FORWARD)
-
-
-def reorder_joint_features(features: np.ndarray, order: ScanOrder) -> np.ndarray:
+def reorder_joint_features(features: np.ndarray, order: tuple) -> np.ndarray:
     """Gather (..., J, D) joint features into scan order along the joint axis.
 
-    Pure gather: output[..., k, :] = features[..., order.forward[k], :].
+    Pure gather: output[..., k, :] = features[..., order[k], :].
     """
     features = np.asarray(features)
     if features.ndim < 2 or features.shape[-2] != NUM_JOINTS:
         raise ValueError(
             f"expected joint axis of length {NUM_JOINTS}, got shape {features.shape}"
         )
-    return features[..., order.forward, :]
+    _visit_ranks(order)  # checks the order, once per order
+    return features[..., order, :]
 
 
-def inverse_reorder_joint_features(features: np.ndarray, order: ScanOrder) -> np.ndarray:
+def inverse_reorder_joint_features(features: np.ndarray, order: tuple) -> np.ndarray:
     """Scatter (..., len(order), D) scan-ordered features back to (..., J, D).
 
     Joints visited multiple times (FKS) have their contributions summed in
@@ -195,10 +163,20 @@ def inverse_reorder_joint_features(features: np.ndarray, order: ScanOrder) -> np
 
 
 @functools.lru_cache(maxsize=None)
-def _visit_ranks(order: ScanOrder) -> tuple:
+def _visit_ranks(order: tuple) -> tuple:
     """(joints, scan positions) per visit rank r: the positions that are a
-    joint's (r+1)-th visit. No joint repeats within a rank."""
-    seq = np.asarray(order.forward)
+    joint's (r+1)-th visit. No joint repeats within a rank.
+
+    Raises ValueError unless ``order`` visits every joint (the scatter would
+    leave a skipped joint zero) and only indices 0..21; being cached, the
+    check runs once per order.
+    """
+    missing = set(range(NUM_JOINTS)) - set(order)
+    if missing:
+        raise ValueError(f"scan order misses joints {sorted(missing)}")
+    if any(not 0 <= j < NUM_JOINTS for j in order):
+        raise ValueError("scan order contains out-of-range joint indices")
+    seq = np.asarray(order)
     rank = np.tril(seq[:, None] == seq[None, :], -1).sum(axis=1)
     return tuple((seq[rank == r], np.flatnonzero(rank == r))
                  for r in range(rank.max() + 1))

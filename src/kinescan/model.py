@@ -28,12 +28,9 @@ from .kinematics import (
     NUM_JOINTS,
     POSE_WIDTH,
     RIG_CHANNELS,
-    ScanOrder,
-    fks_order,
-    index_order,
+    SCAN_ORDERS,
     inverse_reorder_joint_features,
     reorder_joint_features,
-    uks_order,
 )
 from .ssd import SsdParams, chunked_scan
 
@@ -52,14 +49,11 @@ __all__ = [
     "stmm_forward",
     "kinest_forward",
     "infer_windowed",
-    "scan_order_for",
 ]
 
 _LN_EPS = 1e-5
 # softplus^-1(-log 0.9): raw-decay bias giving a ~= 0.9 at zero input
 _DECAY_BIAS = float(np.log(np.expm1(-np.log(0.9))))
-
-_SCAN_ORDERS = {"index": index_order(), "fks": fks_order(), "uks": uks_order()}
 
 
 @dataclass(frozen=True)
@@ -87,10 +81,11 @@ class ModelConfig:
             raise ValueError("module counts must be nonnegative")
         if self.gma_hidden % self.gma_heads != 0:
             raise ValueError("gma_hidden must be divisible by gma_heads")
-        if self.scan_strategy not in _SCAN_ORDERS:
-            raise ValueError(f"scan_strategy must be one of {tuple(_SCAN_ORDERS)}")
-        if not -(2 ** 63) <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
+        if self.scan_strategy not in SCAN_ORDERS:
+            raise ValueError(f"scan_strategy must be one of {tuple(SCAN_ORDERS)}")
+        # PCG64 refuses a negative seed, but only later, in init_weights
+        if not 0 <= int(self.seed) < 2 ** 64:
+            raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
 
     @property
     def mixed_hidden(self) -> int:
@@ -103,12 +98,6 @@ MICRO_CONFIG_KWARGS = dict(
     n_tfm=1, m_skfm=1, embed_dim=16, joint_dim=4, seq_len=24,
     gma_hidden=32, gma_heads=2, ssd_state=4, conv_width=2,
 )
-
-
-def scan_order_for(strategy: str) -> ScanOrder:
-    if strategy not in _SCAN_ORDERS:
-        raise ValueError(f"unknown scan strategy {strategy!r}")
-    return _SCAN_ORDERS[strategy]
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +390,13 @@ def tfm_forward(p: np.ndarray, weights: dict, prefix: str,
 
 
 def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
-                 config: ModelConfig, order: ScanOrder) -> np.ndarray:
+                 config: ModelConfig) -> np.ndarray:
     """Spatiotemporal mixing over the flattened (frame, joint) axis.
 
-    Lift E -> H = J*D, reshape to (L, J, D), gather joints into scan order,
-    flatten to one (L*len(order), D) sequence, run the bidirectional SSD over
-    that mixed axis, scatter back to canonical joints (summing positions a
+    Lift E -> H = J*D, reshape to (L, J, D), gather joints into the scan
+    order ``SCAN_ORDERS[config.scan_strategy]``, flatten to one
+    (L*len(order), D) sequence, run the bidirectional SSD over that mixed
+    axis, scatter back to canonical joints (summing positions a
     non-permutation order visits twice), project H -> E, then LMA and GMA.
     """
     h = _linear(t_in, weights, prefix + "in")
@@ -414,6 +404,7 @@ def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
         raise ValueError(
             f"mixed hidden {h.shape[-1]} does not match J*D = {config.mixed_hidden}"
         )
+    order = SCAN_ORDERS[config.scan_strategy]
     lead, length = h.shape[:-2], h.shape[-2]
     s = h.reshape(lead + (length, NUM_JOINTS, config.joint_dim))
     flat = reorder_joint_features(s, order).reshape(
@@ -449,14 +440,13 @@ def infer_windowed(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndar
 def _layer_outputs(x, config, weights):
     """Yield (layer name, output) for each layer of the forward pass in turn,
     ending with the regressor."""
-    order = scan_order_for(config.scan_strategy)
     p = embed(x, weights)
     yield "embed", p
     for i in range(config.n_tfm):
         p = tfm_forward(p, weights, f"tfm{i}.", config)
         yield f"tfm{i}.", p
     for i in range(config.m_skfm):
-        p = stmm_forward(p, weights, f"skfm{i}.", config, order)
+        p = stmm_forward(p, weights, f"skfm{i}.", config)
         yield f"skfm{i}.", p
     yield "regressor", _linear(p, weights, "regressor")
 

@@ -22,24 +22,29 @@ __all__ = [
     "sparse_from_pose",
 ]
 
+# sinusoids summed per channel
+_HARMONICS = 3
+# scale (radians) of each joint's axis-angle sinusoids
+_POSE_AMPLITUDE = 0.35
 
-def _smooth_channels(rng, frames, channels, amplitude, harmonics=3):
+
+def _smooth_channels(rng, frames, channels, amplitude):
     """(frames, channels) sums of low-frequency sinusoids."""
     t = np.arange(frames)[:, None, None] / max(frames, 2)
-    amp = rng.uniform(0.2, 1.0, size=(harmonics, channels)) * amplitude
-    freq = rng.uniform(0.5, 3.0, size=(harmonics, channels))
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(harmonics, channels))
+    amp = rng.uniform(0.2, 1.0, size=(_HARMONICS, channels)) * amplitude
+    freq = rng.uniform(0.5, 3.0, size=(_HARMONICS, channels))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(_HARMONICS, channels))
     waves = amp * np.sin(2.0 * np.pi * freq * t + phase)
     return waves.sum(axis=1)
 
 
-def synthetic_pose(seed: int, frames: int, amplitude: float = 0.35) -> np.ndarray:
+def synthetic_pose(seed: int, frames: int) -> np.ndarray:
     """(frames, 22, 6) smooth valid pose: per-joint axis-angle sinusoids
     pushed through the exponential map."""
     if frames < 1:
         raise ValueError("frames must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
-    omega = _smooth_channels(rng, frames, NUM_JOINTS * 3, amplitude)
+    omega = _smooth_channels(rng, frames, NUM_JOINTS * 3, _POSE_AMPLITUDE)
     omega = omega.reshape(frames, NUM_JOINTS, 3)
     return matrix_to_sixd(exp_map(omega))
 

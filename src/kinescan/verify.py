@@ -123,14 +123,15 @@ def check_rotation_roundtrip(seed=0, count=10000):
 
 def check_scan_orders():
     """Byte-exact scan-order constants and the FKS parent-edge property."""
-    if kinematics.fks_order().forward != _FKS_EXPECTED:
+    orders = kinematics.SCAN_ORDERS
+    if orders["fks"] != _FKS_EXPECTED:
         return False, "FKS order does not match the printed 32-entry list"
-    if kinematics.uks_order().forward != _UKS_EXPECTED:
+    if orders["uks"] != _UKS_EXPECTED:
         return False, "UKS order does not match the printed 22-entry list"
-    if kinematics.index_order().forward != tuple(range(NUM_JOINTS)):
+    if orders["index"] != tuple(range(NUM_JOINTS)):
         return False, "index order is not 0..21"
     tree = kinematics.default_tree()
-    fwd = kinematics.fks_order().forward
+    fwd = orders["fks"]
     for k in range(len(fwd) - 1):
         nxt = fwd[k + 1]
         if nxt != 0 and tree.parent[nxt] != fwd[k]:

@@ -16,7 +16,6 @@ from kinescan.io import (
     load_sequence,
     save_sequence,
 )
-from kinescan.kinematics import index_order
 from kinescan.synthetic import gen_synthetic
 
 from conftest import MICRO_CONFIG_TEXT
@@ -32,10 +31,13 @@ def micro_cfg_path(tmp_path):
 class TestOrders:
     def test_prints_all_three_orders(self, capsys):
         assert main(["orders"]) == 0
-        out = capsys.readouterr().out
-        assert "index" in out and "fks" in out and "uks" in out
-        assert "0,1,4,7,10,0,2,5,8,11,0,3,6,9,13,16,18,20" in out
-        assert "21,19,17,14,15,12,20,18,16,13,9,6,3,0,1,4,7,10,2,5,8,11" in out
+        assert capsys.readouterr().out == (
+            "index (0..21): 0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21\n"
+            "fks (32 entries, 5 branches): 0,1,4,7,10,0,2,5,8,11,0,3,6,9,13,16,18,20,"
+            "0,3,6,9,12,15,0,3,6,9,14,17,19,21\n"
+            "uks (22 entries, root central): "
+            "21,19,17,14,15,12,20,18,16,13,9,6,3,0,1,4,7,10,2,5,8,11\n"
+        )
 
 
 class TestGenSynthetic:
@@ -185,7 +187,7 @@ class TestVerify:
         assert "8/8 properties passed" in out
 
     def test_corruption_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(kinematics_mod, "uks_order", index_order)
+        monkeypatch.setitem(kinematics_mod.SCAN_ORDERS, "uks", tuple(range(22)))
         assert main(["verify"]) == 2
         out = capsys.readouterr().out
         assert "FAIL scan_orders" in out
@@ -253,9 +255,15 @@ class TestArgErrors:
         (["eval", "pred.txt", "gt.txt", "--fps", "inf"], "--fps"),
         (["infer", "in.txt", "--chunk", "16", "--out", "o.txt"], "--chunk"),
         (["bench", "--chunk", "0"], "--chunk"),
+        (["gen-synthetic", "--seed", "-1", "--out", "o.txt"], "--seed"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["train-micro", "--seed", "-1"], "--seed"),
+        (["bench", "--seed", "-1"], "--seed"),
     ], ids=["iters-negative", "trials-zero", "t-list-not-int", "t-list-zero",
             "frames-zero", "fps-zero", "eval-fps-zero", "eval-fps-nan",
-            "fps-inf", "eval-fps-inf", "infer-chunk-removed", "bench-chunk-zero"])
+            "fps-inf", "eval-fps-inf", "infer-chunk-removed", "bench-chunk-zero",
+            "gen-synthetic-seed-negative", "verify-seed-negative",
+            "train-micro-seed-negative", "bench-seed-negative"])
     def test_refused_flag_is_named(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -157,6 +157,29 @@ class TestSequenceFile:
         with pytest.raises(ValueError, match=r"bad\.txt: sequence values must be finite"):
             load_sequence(path)
 
+    @pytest.mark.parametrize("field, value", [("kind", "pose"), ("frames", "4"),
+                                              ("columns", "132"), ("fps", "30")])
+    def test_repeated_header_field_rejected_with_location(self, tmp_path, field, value):
+        path = tmp_path / "bad.txt"
+        save_sequence(path, Sequence(kind="pose", data=np.ones((4, 132))))
+        lines = path.read_text().splitlines()
+        lines.insert(5, f"#{field} {value}")  # after the four written fields
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_sequence(path)
+        assert str(exc.value) == f"{path}:6: repeated header field '{field}'"
+
+    def test_repeated_free_header_line_loads(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        seq = Sequence(kind="pose", data=np.ones((4, 132)), fps=30.0)
+        save_sequence(path, seq)
+        lines = path.read_text().splitlines()
+        lines[5:5] = ["#note first take", "#note second take"]
+        path.write_text("\n".join(lines) + "\n")
+        got = load_sequence(path)
+        assert got.fps == 30.0
+        np.testing.assert_array_equal(got.data, seq.data)
+
     def test_infinite_fps_header_names_path(self, tmp_path):
         path = tmp_path / "bad.txt"
         save_sequence(path, Sequence(kind="pose", data=np.ones((4, 132))))
@@ -243,6 +266,20 @@ class TestRunConfig:
         with pytest.raises(ValueError) as exc:
             load_run_config(path)
         assert str(exc.value) == f"{path}: {message}"
+
+    def test_negative_seed_names_path(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seq_len=24\nseed=-1\n")
+        with pytest.raises(ValueError) as exc:
+            load_run_config(path)
+        assert str(exc.value) == f"{path}: seed must be in 0..2**64-1, got -1"
+
+    def test_repeated_key_rejected_with_location(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seq_len=24\nseed=3\nseq_len=48\n")
+        with pytest.raises(ValueError) as exc:
+            load_run_config(path)
+        assert str(exc.value) == f"{path}:3: repeated key 'seq_len'"
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

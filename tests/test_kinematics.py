@@ -3,18 +3,14 @@ import pytest
 
 from kinescan.kinematics import (
     NUM_JOINTS,
+    SCAN_ORDERS,
     SMPL_JOINT_NAMES,
-    SMPL_PARENTS,
     KinematicTree,
-    ScanOrder,
     default_tree,
-    fks_order,
     forward_kinematics,
-    index_order,
     inverse_reorder_joint_features,
     parse_skeleton_text,
     reorder_joint_features,
-    uks_order,
 )
 from kinescan.rotations import exp_map
 
@@ -63,7 +59,7 @@ def fk_homogeneous(local, tree, root_position):
 
 class TestConstants:
     def test_parents(self):
-        assert SMPL_PARENTS == PARENTS_EXPECTED
+        assert default_tree().parent == PARENTS_EXPECTED
 
     def test_joint_names_count(self):
         assert len(SMPL_JOINT_NAMES) == NUM_JOINTS == 22
@@ -72,68 +68,80 @@ class TestConstants:
 
 class TestScanOrders:
     def test_index_order(self):
-        assert index_order().forward == tuple(range(22))
+        assert SCAN_ORDERS["index"] == tuple(range(22))
 
     def test_fks_byte_exact(self):
-        assert fks_order().forward == FKS_EXPECTED
+        assert SCAN_ORDERS["fks"] == FKS_EXPECTED
 
     def test_uks_byte_exact(self):
-        assert uks_order().forward == UKS_EXPECTED
+        assert SCAN_ORDERS["uks"] == UKS_EXPECTED
 
     def test_uks_is_permutation_with_central_root(self):
-        order = uks_order()
-        assert sorted(order.forward) == list(range(22))
-        assert order.forward.index(0) == 13
+        order = SCAN_ORDERS["uks"]
+        assert sorted(order) == list(range(22))
+        assert order.index(0) == 13
 
     def test_lengths(self):
-        assert len(fks_order()) == 32
-        assert len(uks_order()) == 22
+        assert tuple(SCAN_ORDERS) == ("index", "fks", "uks")
+        assert len(SCAN_ORDERS["fks"]) == 32
+        assert len(SCAN_ORDERS["uks"]) == 22
 
     def test_fks_adjacency(self):
-        fwd = fks_order().forward
+        fwd = SCAN_ORDERS["fks"]
         for k in range(len(fwd) - 1):
             nxt = fwd[k + 1]
-            assert nxt == 0 or SMPL_PARENTS[nxt] == fwd[k]
+            assert nxt == 0 or PARENTS_EXPECTED[nxt] == fwd[k]
 
     def test_fks_branch_starts(self):
-        fwd = fks_order().forward
+        fwd = SCAN_ORDERS["fks"]
         assert tuple(k for k, j in enumerate(fwd) if j == 0) == (0, 5, 10, 18, 24)
 
+    # both reorders check an order before using it; the scatter would
+    # otherwise leave a skipped joint zero
+    @staticmethod
+    def reorders(order):
+        """The gather and the scatter, each bound to zeros of its input shape."""
+        return (lambda: reorder_joint_features(np.zeros((2, NUM_JOINTS, 3)), order),
+                lambda: inverse_reorder_joint_features(np.zeros((2, len(order), 3)), order))
+
     def test_missing_joint_rejected(self):
-        with pytest.raises(ValueError):
-            ScanOrder(tuple(range(21)))
+        for reorder in self.reorders(tuple(range(21)) + (0,)):
+            with pytest.raises(ValueError, match=r"misses joints \[21\]"):
+                reorder()
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            ScanOrder(tuple(range(22)) + (25,))
+        for reorder in self.reorders(tuple(range(22)) + (25,)):
+            with pytest.raises(ValueError, match="out-of-range"):
+                reorder()
 
 
 class TestReorder:
     def test_gather_matches_nested_loop(self, rng):
         feat = rng.standard_normal((3, 22, 4))
-        for order in (fks_order(), uks_order()):
+        for order in (SCAN_ORDERS["fks"], SCAN_ORDERS["uks"]):
             got = reorder_joint_features(feat, order)
             assert got.shape == (3, len(order), 4)
             for l in range(3):
-                for k, j in enumerate(order.forward):
+                for k, j in enumerate(order):
                     np.testing.assert_array_equal(got[l, k], feat[l, j])
 
     def test_permutation_inverse_round_trip(self, rng):
         feat = rng.standard_normal((5, 22, 3))
-        for order in (index_order(), uks_order()):
+        for order in (SCAN_ORDERS["index"], SCAN_ORDERS["uks"]):
             mixed = reorder_joint_features(feat, order)
             back = inverse_reorder_joint_features(mixed, order)
             np.testing.assert_array_equal(back, feat)
 
     def test_fks_inverse_sums_repeated_visits(self):
         ones = np.ones((32, 1))
-        counts = inverse_reorder_joint_features(ones, fks_order())[:, 0]
+        counts = inverse_reorder_joint_features(ones, SCAN_ORDERS["fks"])[:, 0]
         expected = np.ones(22)
         expected[0] = 5.0
         expected[[3, 6, 9]] = 3.0
         np.testing.assert_array_equal(counts, expected)
 
-    @pytest.mark.parametrize("order", [index_order(), uks_order(), fks_order()],
+    @pytest.mark.parametrize("order", [SCAN_ORDERS["index"], SCAN_ORDERS["uks"],
+                                       SCAN_ORDERS["fks"]],
                              ids=["index", "uks", "fks"])
     # "backward" scatters the reversed visit sequence, whose repeated
     # visits fall at other scan positions
@@ -143,9 +151,9 @@ class TestReorder:
     def test_scatter_matches_add_at_oracle_bitwise(self, rng, order, reverse,
                                                    lead, dtype):
         if reverse:
-            order = ScanOrder(order.forward[::-1])
+            order = order[::-1]
         feat = rng.standard_normal(lead + (len(order), 5)).astype(dtype)
-        seq = np.asarray(order.forward)
+        seq = np.asarray(order)
         oracle = np.zeros(lead + (22, 5), dtype=dtype)
         np.add.at(oracle, (..., seq, slice(None)), feat)
         got = inverse_reorder_joint_features(feat, order)
@@ -154,10 +162,10 @@ class TestReorder:
 
     def test_wrong_axis_length_rejected(self, rng):
         with pytest.raises(ValueError):
-            reorder_joint_features(rng.standard_normal((4, 21, 3)), uks_order())
+            reorder_joint_features(rng.standard_normal((4, 21, 3)), SCAN_ORDERS["uks"])
         with pytest.raises(ValueError):
             inverse_reorder_joint_features(rng.standard_normal((4, 22, 3)),
-                                           fks_order())
+                                           SCAN_ORDERS["fks"])
 
 
 class TestTreeValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 
@@ -6,7 +7,6 @@ import pytest
 from scipy.special import expit
 
 import kinescan.model as model_mod
-from kinescan.kinematics import fks_order, uks_order
 from kinescan.model import (
     MICRO_CONFIG_KWARGS,
     ModelConfig,
@@ -22,7 +22,6 @@ from kinescan.model import (
     kinest_forward,
     lma,
     parameter_count,
-    scan_order_for,
     ssd_block,
     stmm_forward,
 )
@@ -167,12 +166,15 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(n_tfm=-1)
 
-    def test_scan_order_for(self):
-        assert scan_order_for("index").forward == tuple(range(22))
-        assert len(scan_order_for("fks")) == 32
-        assert len(scan_order_for("uks")) == 22
-        with pytest.raises(ValueError):
-            scan_order_for("dfs")
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 63), 2 ** 64])
+    def test_seed_outside_pcg64_range_rejected(self, seed):
+        # refused by name here, not by PCG64 inside init_weights
+        with pytest.raises(ValueError, match=rf"seed must be in 0\.\.2\*\*64-1, got {seed}"):
+            ModelConfig(seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2 ** 64 - 1):
+            init_weights(ModelConfig(seed=seed, **MICRO_CONFIG_KWARGS))
 
 
 class TestInitWeights:
@@ -389,16 +391,17 @@ class TestStmm:
         monkeypatch.setattr(model_mod, "bi_ssd", recorder)
         config, w = micro_weights()
         t_in = rng.standard_normal((24, 16)).astype(np.float32)
-        stmm_forward(t_in, w, "skfm0.", config, uks_order())
-        assert recorded == [24 * 22]
-        recorded.clear()
-        stmm_forward(t_in, w, "skfm0.", config, fks_order())
-        assert recorded == [24 * 32]
+        # the order comes from config.scan_strategy alone
+        for strategy, joints in (("uks", 22), ("index", 22), ("fks", 32)):
+            recorded.clear()
+            stmm_forward(t_in, w, "skfm0.",
+                         dataclasses.replace(config, scan_strategy=strategy))
+            assert recorded == [24 * joints]
 
     def test_output_shape(self, rng):
         config, w = micro_weights()
         t_in = rng.standard_normal((24, 16)).astype(np.float32)
-        out = stmm_forward(t_in, w, "skfm0.", config, uks_order())
+        out = stmm_forward(t_in, w, "skfm0.", config)
         assert out.shape == (24, 16) and out.dtype == np.float32
 
     def test_hidden_width_mismatch_rejected(self, rng):
@@ -406,7 +409,7 @@ class TestStmm:
         wide = ModelConfig(seed=0, **{**MICRO_CONFIG_KWARGS, "joint_dim": 5})
         t_in = rng.standard_normal((24, 16)).astype(np.float32)
         with pytest.raises(ValueError, match="mixed hidden"):
-            stmm_forward(t_in, w, "skfm0.", wide, uks_order())
+            stmm_forward(t_in, w, "skfm0.", wide)
 
 
 class TestKinestForward:
@@ -518,11 +521,10 @@ class TestFloat64Weights:
         # an input change far below float32 resolution reaches the output
         config, w = micro_weights()
         w = float64_weights(w)
-        order = scan_order_for(config.scan_strategy)
         fn, shape = {
             "embed": (lambda v: embed(v, w), (24, 36)),
             "ssd_block": (lambda v: ssd_block(v, w, "tfm0.fwd."), (24, 16)),
-            "stmm_forward": (lambda v: stmm_forward(v, w, "skfm0.", config, order),
+            "stmm_forward": (lambda v: stmm_forward(v, w, "skfm0.", config),
                              (24, 16)),
             "kinest_forward": (lambda v: kinest_forward(v, config, w), (24, 36)),
             "infer_windowed": (lambda v: infer_windowed(v, config, w), (30, 36)),

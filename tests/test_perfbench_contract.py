@@ -17,12 +17,12 @@ from kinescan import model, training
 from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig, init_weights
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-_MODULES = ("spans", "reference", "workloads")
+_MODULES = ("spans", "reference", "workloads", "launcher", "run")
 
 
 @pytest.fixture(scope="module")
 def bench():
-    """perfbench's spans, reference and workloads modules, imported with
+    """perfbench's spans, reference, workloads and run modules, imported with
     their directory first on sys.path as ``perfbench/run.py`` has it, and
     without writing bytecode there."""
     sys.path.insert(0, str(PERFBENCH))
@@ -44,6 +44,28 @@ def test_wrapped_functions_resolve(bench):
     for module, name in bench["spans"]._WRAPPED:
         fn = getattr(importlib.import_module("kinescan." + module), name, None)
         assert callable(fn), f"kinescan.{module}.{name} is gone"
+
+
+@pytest.mark.parametrize("scan", ["index", "fks", "uks"])
+def test_traced_forward_yields_every_span_metric(bench, scan):
+    # a per-layer metric no span measures makes ``run.py --trace 1`` exit 1;
+    # the setup, kernel and overhead rows are measured outside the spans
+    config = ModelConfig(scan_strategy=scan, seed=0, **MICRO_CONFIG_KWARGS)
+    weights = init_weights(config)
+    x = _window(bench, config)
+    tracer = bench["spans"].Tracer()
+    tracer.install()
+    try:
+        with tracer.op(0):
+            model.kinest_forward(x, config, weights)
+    finally:
+        tracer.uninstall()
+    summary = bench["spans"].op_summaries(tracer)[0]
+    measured = {*summary["self_ms"], *summary["counts"], *summary["train_ms"]}
+    wanted = {key for key in bench["run"].PER_LAYER
+              if not key.startswith(("setup.", "ssd.kernel.", "trace."))}
+    assert "kinematics.gather.ms" in wanted and "kinematics.scatter.ms" in wanted
+    assert wanted <= measured, sorted(wanted - measured)
 
 
 def test_traced_forward_names_each_layer(bench):

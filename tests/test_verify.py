@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import kinescan.kinematics as kinematics_mod
-from kinescan.kinematics import index_order
 from kinescan.verify import (
     CHECKS,
     PropertyResult,
@@ -62,7 +61,7 @@ class TestRunAll:
             assert r.passed, f"{r.name}: {r.detail}"
 
     def test_corrupted_order_is_caught(self, monkeypatch):
-        monkeypatch.setattr(kinematics_mod, "uks_order", index_order)
+        monkeypatch.setitem(kinematics_mod.SCAN_ORDERS, "uks", tuple(range(22)))
         passed, detail = check_scan_orders()
         assert not passed
         assert "UKS" in detail
@@ -71,7 +70,7 @@ class TestRunAll:
         def boom():
             raise RuntimeError("synthetic fault")
 
-        monkeypatch.setattr(kinematics_mod, "fks_order", boom)
+        monkeypatch.setattr(kinematics_mod, "default_tree", boom)
         results = {r.name: r for r in run_all(seed=0)}
         assert not results["scan_orders"].passed
         assert "synthetic fault" in results["scan_orders"].detail
