@@ -10,8 +10,7 @@ two provably identical operators.
 
 from kinescan.bench import format_bench_table, run_benchmark
 
-result = run_benchmark(t_list=(256, 512, 1024, 2048, 4096), chunk=16,
-                       trials=3, seed=0)
+result = run_benchmark(t_list=(256, 512, 1024, 2048, 4096), trials=3)
 print(format_bench_table(result), end="")
 
 last = result.rows[-1]

@@ -9,7 +9,6 @@ from .io import (
     load_checkpoint,
     load_run_config,
     load_sequence,
-    load_skeleton,
     save_checkpoint,
     save_sequence,
 )

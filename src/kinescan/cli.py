@@ -6,12 +6,12 @@ failure.
 """
 
 import argparse
-import math
 import sys
 
 from . import io as kio
 from .bench import format_bench_table, run_benchmark
 from .kinematics import SCAN_ORDERS, default_tree
+from .metrics import check_fps, metrics
 from .model import (
     MICRO_CONFIG_KWARGS,
     ModelConfig,
@@ -55,9 +55,7 @@ def cmd_gen_synthetic(args) -> int:
 
 def cmd_infer(args) -> int:
     config = kio.load_run_config(args.config) if args.config else ModelConfig()
-    seq = kio.load_sequence(args.input)
-    if seq.kind != "sparse_input":
-        raise ValueError(f"{args.input}: infer expects a sparse_input sequence")
+    seq = kio.load_sequence(args.input, "sparse_input")
     if args.weights is None:
         weights = init_weights(config)
     else:
@@ -70,20 +68,20 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .metrics import metrics
-
-    pred_seq = kio.load_sequence(args.pred)
-    gt_seq = kio.load_sequence(args.gt)
-    if pred_seq.frames != gt_seq.frames:
+    pred_seq = kio.load_sequence(args.pred, "pose")
+    gt_seq = kio.load_sequence(args.gt, "pose")
+    # velocity and jitter scale with the frame rate, so both files must share it
+    if (pred_seq.frames, pred_seq.fps) != (gt_seq.frames, gt_seq.fps):
         raise ValueError(
-            f"length mismatch: {pred_seq.frames} predicted vs {gt_seq.frames} ground-truth frames"
+            f"frame count or rate mismatch: {args.pred} has {pred_seq.frames} frames "
+            f"at {pred_seq.fps:.9g} fps, {args.gt} has {gt_seq.frames} frames at "
+            f"{gt_seq.fps:.9g} fps"
         )
-    tree = kio.load_skeleton(args.skeleton) if args.skeleton else default_tree()
     pose_y, root_y = kio.pose_from_sequence(pred_seq)
     pose_z, root_z = kio.pose_from_sequence(gt_seq)
-    fps = args.fps if args.fps else gt_seq.fps
     try:
-        report = metrics(pose_y, pose_z, tree, fps=fps, root_y=root_y, root_z=root_z)
+        report = metrics(pose_y, pose_z, default_tree(), fps=gt_seq.fps,
+                         root_y=root_y, root_z=root_z)
     except DegenerateRotationError:
         # the error does not say which input it came from; convert each alone
         for path, pose in ((args.pred, pose_y), (args.gt, pose_z)):
@@ -115,11 +113,8 @@ def cmd_train_micro(args) -> int:
         config = ModelConfig(seed=args.seed, **MICRO_CONFIG_KWARGS)
     else:
         config = kio.load_run_config(args.config)
-    tree = kio.load_skeleton(args.skeleton) if args.skeleton else default_tree()
     if args.data:
-        seq = kio.load_sequence(args.data)
-        if seq.kind != "pose":
-            raise ValueError(f"{args.data}: train-micro expects a pose sequence")
+        seq = kio.load_sequence(args.data, "pose")
         if seq.frames != config.seq_len:
             raise ValueError(
                 f"{args.data}: {seq.frames} frames, config expects {config.seq_len}"
@@ -127,9 +122,14 @@ def cmd_train_micro(args) -> int:
     else:
         seq = gen_synthetic(args.seed, config.seq_len, "pose")
     z, _ = kio.pose_from_sequence(seq)
-    x = sparse_from_pose(z, tree, fps=seq.fps)
+    x = sparse_from_pose(z, default_tree(), fps=seq.fps)
 
-    result = train_micro(config, x, z, iters=args.iters, seed=args.seed)
+    try:
+        result = train_micro(config, x, z, iters=args.iters, seed=args.seed)
+    except ValueError as exc:
+        # the one ValueError train_micro raises is its parameter cap, which
+        # only a config file can exceed
+        raise ValueError(f"{args.config}: {exc}") from None
     if args.out:
         kio.save_checkpoint(args.out, result.weights)
     if args.trace:
@@ -148,8 +148,7 @@ def cmd_train_micro(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    result = run_benchmark(t_list=args.t_list, chunk=args.chunk, trials=args.trials,
-                           seed=args.seed)
+    result = run_benchmark(t_list=args.t_list, trials=args.trials)
     print(format_bench_table(result), end="")
     return 0
 
@@ -168,16 +167,13 @@ def _int_at_least(low):
     return parse
 
 
-def _positive_float(text):
-    """argparse type: a finite float above 0, so ``--fps 0`` is refused, not
-    read as unset, and ``--fps inf`` is refused too."""
+def _fps(text):
+    """argparse type: a frame rate, by the rule every fps in the package
+    follows."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {value}")
-    return value
+        return check_fps(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _seq_lengths(text):
@@ -197,7 +193,7 @@ def _build_parser():
     p.add_argument("--kind", choices=("sparse_input", "pose"), default="sparse_input")
     p.add_argument("--frames", type=_int_at_least(1), default=96)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--fps", type=_positive_float, default=60.0)
+    p.add_argument("--fps", type=_fps, default=60.0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_synthetic)
 
@@ -211,8 +207,6 @@ def _build_parser():
     p = sub.add_parser("eval", help="evaluate predicted poses against ground truth")
     p.add_argument("pred")
     p.add_argument("gt")
-    p.add_argument("--skeleton", default=None)
-    p.add_argument("--fps", type=_positive_float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eval)
 
@@ -223,7 +217,6 @@ def _build_parser():
     p = sub.add_parser("train-micro", help="derivative-free training at micro scale")
     p.add_argument("--config", default=None)
     p.add_argument("--data", default=None)
-    p.add_argument("--skeleton", default=None)
     p.add_argument("--iters", type=_int_at_least(0), default=500)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None)
@@ -232,9 +225,7 @@ def _build_parser():
 
     p = sub.add_parser("bench", help="time the quadratic vs chunked realizations")
     p.add_argument("--t-list", type=_seq_lengths, default="256,512,1024,2048,4096")
-    p.add_argument("--chunk", type=_int_at_least(1), default=16)
     p.add_argument("--trials", type=_int_at_least(1), default=3)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(fn=cmd_bench)
     return parser
 

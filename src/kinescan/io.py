@@ -1,4 +1,4 @@
-"""File formats: sequence files, skeleton files, run configs, checkpoints.
+"""File formats: sequence files, run configs, checkpoints.
 
 All text formats write floats with 9 significant digits, which round-trips
 32-bit values exactly, so parse(serialize(x)) == x bitwise for valid x.
@@ -10,14 +10,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kinematics import (
-    NUM_JOINTS,
-    POSE_WIDTH,
-    RIG_CHANNELS,
-    KinematicTree,
-    parse_skeleton_text,
-)
-from .metrics import MetricReport
+from .kinematics import NUM_JOINTS, POSE_WIDTH, RIG_CHANNELS
+from .metrics import MetricReport, check_fps
 from .model import ModelConfig
 
 __all__ = [
@@ -26,7 +20,6 @@ __all__ = [
     "save_sequence",
     "sequence_from_pose",
     "pose_from_sequence",
-    "load_skeleton",
     "load_run_config",
     "save_checkpoint",
     "load_checkpoint",
@@ -79,11 +72,8 @@ class Sequence:
             )
         if not np.all(np.isfinite(data)):
             raise ValueError("sequence values must be finite")
-        fps = float(self.fps)
-        if not (math.isfinite(fps) and fps > 0):
-            raise ValueError(f"fps must be a finite positive number, got {fps}")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "fps", fps)
+        object.__setattr__(self, "fps", check_fps(self.fps))
 
     @property
     def frames(self) -> int:
@@ -105,7 +95,9 @@ def save_sequence(path, seq: Sequence) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_sequence(path) -> Sequence:
+def load_sequence(path, kind: str) -> Sequence:
+    """The sequence in ``path``; a file of another kind than ``kind`` is
+    refused, naming the path."""
     lines = _read_text(path).splitlines()
     if not lines or lines[0] != _SEQ_MAGIC:
         raise ValueError(f"{path}: not a sequence file (bad magic line)")
@@ -119,7 +111,9 @@ def load_sequence(path) -> Sequence:
             raise ValueError(f"{path}:{lineno}: repeated header field {key!r}")
         header[key] = value
         body_start += 1
-    kind = _header_field(path, header, "kind", str)
+    found = _header_field(path, header, "kind", str)
+    if found != kind:
+        raise ValueError(f"{path}: expected a {kind} sequence, got kind {found!r}")
     frames = _header_field(path, header, "frames", int)
     columns = _header_field(path, header, "columns", int)
     fps = _header_field(path, header, "fps", float)
@@ -180,17 +174,6 @@ def pose_from_sequence(seq: Sequence):
     pose = seq.data[:, :POSE_WIDTH].reshape(seq.frames, NUM_JOINTS, 6)
     root = seq.data[:, POSE_WIDTH:] if seq.data.shape[1] > POSE_WIDTH else None
     return pose, root
-
-
-def load_skeleton(path) -> KinematicTree:
-    text = _read_text(path)
-    try:
-        tree = parse_skeleton_text(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if tree.num_joints != NUM_JOINTS:
-        raise ValueError(f"{path}: expected {NUM_JOINTS} joints, got {tree.num_joints}")
-    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,6 @@ class KinematicTree:
     def num_joints(self) -> int:
         return len(self.parent)
 
-    @property
-    def root(self) -> int:
-        return self.parent.index(-1)
-
 
 def reorder_joint_features(features: np.ndarray, order: tuple) -> np.ndarray:
     """Gather (..., J, D) joint features into scan order along the joint axis.

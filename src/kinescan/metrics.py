@@ -6,6 +6,7 @@ mean third-difference magnitude, scaled to 10^2 m/s^3, computed per sequence
 (prediction and ground truth separately).
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "LOWER_JOINTS",
     "UPPER_JOINTS",
     "MetricReport",
+    "check_fps",
     "metrics",
     "jitter",
 ]
@@ -52,6 +54,14 @@ class MetricReport:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
+def check_fps(fps) -> float:
+    """``fps`` as a float; a ValueError unless it is finite and above 0."""
+    fps = float(fps)
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValueError(f"fps must be a finite positive number, got {fps}")
+    return fps
+
+
 def jitter(positions: np.ndarray, fps: float) -> float:
     """Mean ||third finite difference|| * fps^3 over an (L, J, 3) path,
     in 10^2 m/s^3. Requires L >= 4."""
@@ -78,8 +88,7 @@ def metrics(y: np.ndarray, z: np.ndarray, tree: KinematicTree,
     y, z = _check_pair(y, z)
     if y.shape[0] < 2:
         raise ValueError("need at least two frames")
-    if not (np.isfinite(fps) and fps > 0):
-        raise ValueError(f"fps must be a finite positive number, got {fps}")
+    fps = check_fps(fps)
 
     ry = sixd_to_matrix(y)
     rz = sixd_to_matrix(z)
@@ -108,5 +117,5 @@ def metrics(y: np.ndarray, z: np.ndarray, tree: KinematicTree,
         jitter_pred=jitter(py, fps) if enough else None,
         jitter_gt=jitter(pz, fps) if enough else None,
         frames=int(y.shape[0]),
-        fps=float(fps),
+        fps=fps,
     )

@@ -27,6 +27,8 @@ __all__ = [
 
 PARAM_LIMIT = 20000
 
+_SMOOTH_WINDOW = 50
+
 _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_PATIENCE = 50
 
@@ -55,29 +57,29 @@ class TrainResult:
 def _flatten(weights):
     names = list(weights)
     vec = np.concatenate([weights[n].astype(np.float64).ravel() for n in names])
-    layout = [(n, weights[n].shape, weights[n].size, weights[n].dtype) for n in names]
+    layout = [(n, weights[n].shape, weights[n].size) for n in names]
     return vec, layout
 
 
 def _unflatten(vec, layout):
-    """Weights from a (..., n) vector, each cast back to its own dtype;
-    leading axes become batch axes. The vector is cast once per dtype and
-    each tensor is a view into its cast."""
-    cast = {dtype: vec.astype(dtype) for dtype in {entry[3] for entry in layout}}
+    """Float32 weights, as ``init_weights`` draws them, from a (..., n)
+    vector; leading axes become batch axes. The vector is cast once and
+    each tensor is a view into the cast."""
+    cast = vec.astype(np.float32)
     out = {}
     off = 0
-    for name, shape, size, dtype in layout:
-        out[name] = cast[dtype][..., off : off + size].reshape(vec.shape[:-1] + shape)
+    for name, shape, size in layout:
+        out[name] = cast[..., off : off + size].reshape(vec.shape[:-1] + shape)
         off += size
     return out
 
 
-def smoothed_trace(trace: np.ndarray, window: int = 50) -> np.ndarray:
-    """Trailing moving average; entry k averages the last <= window values."""
+def smoothed_trace(trace: np.ndarray) -> np.ndarray:
+    """Trailing moving average; entry k averages the last <= 50 values."""
     trace = np.asarray(trace, dtype=np.float64)
     csum = np.concatenate([[0.0], np.cumsum(trace)])
     idx = np.arange(1, len(trace) + 1)
-    lo = np.maximum(idx - window, 0)
+    lo = np.maximum(idx - _SMOOTH_WINDOW, 0)
     return (csum[idx] - csum[lo]) / (idx - lo)
 
 

@@ -153,8 +153,7 @@ def test_criterion_11_benchmark(capsys):
     # chunked scan >= 5x faster than the quadratic matrix form at T = 4096
     # (slopes are machine-dependent and reported, not gated; the 1e-5
     # agreement gate inside run_benchmark is hard)
-    result = run_benchmark(t_list=(256, 512, 1024, 2048, 4096), chunk=16,
-                           trials=3, seed=0)
+    result = run_benchmark(t_list=(256, 512, 1024, 2048, 4096), trials=3)
     speedup = result.rows[-1].speedup
     slope_m = result.loglog_slope("matrix_s")
     slope_c = result.loglog_slope("chunked_s")

@@ -12,29 +12,28 @@ class TestRows:
     def test_loglog_slope_recovers_power_law(self):
         rows = [BenchRow(seq_len=t, matrix_s=1e-8 * t ** 2, chunked_s=1e-7 * t)
                 for t in (256, 512, 1024)]
-        result = BenchResult(rows=rows, chunk=16)
+        result = BenchResult(rows=rows)
         assert result.loglog_slope("matrix_s") == pytest.approx(2.0, abs=1e-9)
         assert result.loglog_slope("chunked_s") == pytest.approx(1.0, abs=1e-9)
 
 
 class TestRunBenchmark:
     def test_small_sizes(self):
-        result = run_benchmark(t_list=(64, 128), trials=1, seed=0)
+        result = run_benchmark(t_list=(64, 128), trials=1)
         assert [r.seq_len for r in result.rows] == [64, 128]
         for r in result.rows:
             assert r.matrix_s > 0.0 and r.chunked_s > 0.0
 
     def test_deterministic_instances(self):
-        # the correctness gate runs on seeded instances; same seed, no raise
-        run_benchmark(t_list=(64,), trials=1, seed=3)
-        run_benchmark(t_list=(64,), trials=1, seed=3)
+        # the correctness gate runs on instances drawn from seed 0; no raise
+        run_benchmark(t_list=(64,), trials=1)
+        run_benchmark(t_list=(64,), trials=1)
 
 
 class TestTable:
     def test_format_contains_rows_and_slopes(self):
         rows = [BenchRow(seq_len=256, matrix_s=0.01, chunked_s=0.002),
                 BenchRow(seq_len=512, matrix_s=0.04, chunked_s=0.004)]
-        text = format_bench_table(BenchResult(rows=rows, chunk=16))
+        text = format_bench_table(BenchResult(rows=rows))
         assert "256" in text and "512" in text
         assert "log-log slopes" in text
-        assert "chunk=16" in text

@@ -46,8 +46,7 @@ class TestGenSynthetic:
         code = main(["gen-synthetic", "--kind", "sparse_input", "--frames", "12",
                      "--seed", "5", "--fps", "30", "--out", str(out)])
         assert code == 0
-        seq = load_sequence(out)
-        assert seq.kind == "sparse_input"
+        seq = load_sequence(out, "sparse_input")
         assert seq.frames == 12 and seq.fps == 30.0
 
     def test_deterministic_bytes(self, tmp_path):
@@ -61,7 +60,7 @@ class TestGenSynthetic:
         out = tmp_path / "pose.txt"
         assert main(["gen-synthetic", "--kind", "pose", "--frames", "6",
                      "--out", str(out)]) == 0
-        assert load_sequence(out).data.shape == (6, 132)
+        assert load_sequence(out, "pose").data.shape == (6, 132)
 
 
 class TestInfer:
@@ -73,9 +72,7 @@ class TestInfer:
             assert main(["infer", str(inp), "--config", micro_cfg_path,
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
-        pose = load_sequence(a)
-        assert pose.kind == "pose"
-        assert pose.frames == 30
+        assert load_sequence(a, "pose").frames == 30
 
     def test_accepts_checkpoint_weights(self, tmp_path, micro_cfg_path, micro_config,
                                         capsys):
@@ -163,11 +160,37 @@ class TestEval:
         assert main(["eval", str(a), str(b)]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", ["pred-30", "gt-30"])
+    def test_frame_rate_mismatch_names_both_files(self, tmp_path, capsys, order):
+        slow, fast = tmp_path / "pose30.txt", tmp_path / "pose60.txt"
+        main(["gen-synthetic", "--kind", "pose", "--frames", "6", "--fps", "30",
+              "--out", str(slow)])
+        main(["gen-synthetic", "--kind", "pose", "--frames", "6", "--out", str(fast)])
+        files = [str(slow), str(fast)] if order == "pred-30" else [str(fast), str(slow)]
+        capsys.readouterr()
+        assert main(["eval", *files]) == 1
+        captured = capsys.readouterr()
+        assert "mismatch" in captured.err
+        assert f"{slow} has 6 frames at 30 fps" in captured.err
+        assert f"{fast} has 6 frames at 60 fps" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("which", ["pred", "gt"])
+    def test_sparse_input_file_refused_by_name(self, tmp_path, capsys, which):
+        pose, sparse = tmp_path / "pose.txt", tmp_path / "sparse.txt"
+        main(["gen-synthetic", "--kind", "pose", "--frames", "6", "--out", str(pose)])
+        main(["gen-synthetic", "--frames", "6", "--out", str(sparse)])
+        files = [str(sparse), str(pose)] if which == "pred" else [str(pose), str(sparse)]
+        capsys.readouterr()
+        assert main(["eval", *files]) == 1
+        assert (f"{sparse}: expected a pose sequence, got kind 'sparse_input'"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("which", ["pred", "gt"])
     def test_degenerate_6d_names_file_frame_and_joint(self, tmp_path, capsys, which):
         good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
         main(["gen-synthetic", "--kind", "pose", "--frames", "6", "--out", str(good)])
-        seq = load_sequence(good)
+        seq = load_sequence(good, "pose")
         data = seq.data.copy()
         data[4, 6 * 13:6 * 13 + 3] = 0.0  # frame 4, joint 13: first column zero
         save_sequence(bad, Sequence(kind="pose", data=data, fps=seq.fps))
@@ -217,6 +240,13 @@ class TestTrainMicro:
         assert main(["train-micro", "--iters", "5", "--data", str(data)]) == 1
         assert "frames" in capsys.readouterr().err
 
+    def test_config_over_parameter_cap_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("seq_len=24\n")  # full-scale widths
+        assert main(["train-micro", "--iters", "1", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: configuration has " in err and "capped at 20000" in err
+
 
 class TestBench:
     def test_small_sizes_print_table(self, capsys):
@@ -242,6 +272,9 @@ class TestArgErrors:
             main(["gen-synthetic"])  # --out is required
         assert exc.value.code == 1
 
+    # eval --fps, bench --chunk and bench --seed are gone from the CLI; their
+    # rows, and each *-removed row, pass because argparse refuses an
+    # unrecognized flag with exit 1, naming it
     @pytest.mark.parametrize("argv, flag", [
         (["train-micro", "--iters", "-1"], "--iters"),
         (["bench", "--trials", "0"], "--trials"),
@@ -254,6 +287,8 @@ class TestArgErrors:
         (["gen-synthetic", "--fps", "inf", "--out", "o.txt"], "--fps"),
         (["eval", "pred.txt", "gt.txt", "--fps", "inf"], "--fps"),
         (["infer", "in.txt", "--chunk", "16", "--out", "o.txt"], "--chunk"),
+        (["eval", "pred.txt", "gt.txt", "--skeleton", "s.txt"], "--skeleton"),
+        (["train-micro", "--skeleton", "s.txt"], "--skeleton"),
         (["bench", "--chunk", "0"], "--chunk"),
         (["gen-synthetic", "--seed", "-1", "--out", "o.txt"], "--seed"),
         (["verify", "--seed", "-1"], "--seed"),
@@ -261,7 +296,8 @@ class TestArgErrors:
         (["bench", "--seed", "-1"], "--seed"),
     ], ids=["iters-negative", "trials-zero", "t-list-not-int", "t-list-zero",
             "frames-zero", "fps-zero", "eval-fps-zero", "eval-fps-nan",
-            "fps-inf", "eval-fps-inf", "infer-chunk-removed", "bench-chunk-zero",
+            "fps-inf", "eval-fps-inf", "infer-chunk-removed", "eval-skeleton-removed",
+            "train-micro-skeleton-removed", "bench-chunk-zero",
             "gen-synthetic-seed-negative", "verify-seed-negative",
             "train-micro-seed-negative", "bench-seed-negative"])
     def test_refused_flag_is_named(self, capsys, argv, flag):

@@ -1,4 +1,3 @@
-import importlib.resources
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +11,6 @@ from kinescan.io import (
     load_checkpoint,
     load_run_config,
     load_sequence,
-    load_skeleton,
     pose_from_sequence,
     save_checkpoint,
     save_sequence,
@@ -70,7 +68,7 @@ class TestSequenceFile:
         seq = Sequence(kind="sparse_input", data=data, fps=59.94)
         path = tmp_path / "seq.txt"
         save_sequence(path, seq)
-        again = load_sequence(path)
+        again = load_sequence(path, "sparse_input")
         assert again.kind == "sparse_input"
         assert again.fps == np.float64(np.float32(59.94)) or again.fps == 59.94
         assert np.array_equal(again.data, data)
@@ -80,7 +78,7 @@ class TestSequenceFile:
         seq = Sequence(kind="pose", data=rng.standard_normal((5, 132)))
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         save_sequence(a, seq)
-        save_sequence(b, load_sequence(a))
+        save_sequence(b, load_sequence(a, "pose"))
         assert a.read_bytes() == b.read_bytes()
 
     def test_header_content(self, tmp_path):
@@ -98,7 +96,7 @@ class TestSequenceFile:
         path = tmp_path / "bad.txt"
         path.write_text("#something else\n0 0\n")
         with pytest.raises(ValueError, match="magic"):
-            load_sequence(path)
+            load_sequence(path, "sparse_input")
 
     def test_frame_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -106,7 +104,7 @@ class TestSequenceFile:
         text = path.read_text().splitlines()
         path.write_text("\n".join(text[:-1]) + "\n")  # drop one data row
         with pytest.raises(ValueError, match="frames"):
-            load_sequence(path)
+            load_sequence(path, "sparse_input")
 
     def test_column_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -115,20 +113,20 @@ class TestSequenceFile:
         lines[-1] = "1 2 3"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="columns"):
-            load_sequence(path)
+            load_sequence(path, "sparse_input")
 
     def test_missing_header_field_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("#kinescan-sequence v1\n#kind pose\n#frames 0\n#fps 60\n")
         with pytest.raises(ValueError, match="columns"):
-            load_sequence(path)
+            load_sequence(path, "pose")
 
     def test_unparsable_header_value_names_path_and_field(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("#kinescan-sequence v1\n#kind pose\n#frames abc\n"
                         "#columns 132\n#fps 60\n")
         with pytest.raises(ValueError, match=r"bad\.txt: header field 'frames'.*'abc'"):
-            load_sequence(path)
+            load_sequence(path, "pose")
 
     @pytest.mark.parametrize("frames, columns", [(1, -5), (0, 36), (0, -5)])
     def test_nonpositive_header_sizes_name_path(self, tmp_path, frames, columns):
@@ -137,7 +135,7 @@ class TestSequenceFile:
         path.write_text(f"#kinescan-sequence v1\n#kind sparse_input\n#frames {frames}\n"
                         f"#columns {columns}\n#fps 60\n{body}")
         with pytest.raises(ValueError, match=r"bad\.txt:"):
-            load_sequence(path)
+            load_sequence(path, "sparse_input")
 
     def test_unparsable_body_value_names_path_and_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -146,7 +144,7 @@ class TestSequenceFile:
         lines[6] = "x" + lines[6][1:]  # frame 1, the 7th line of the file
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"bad\.txt:7: frame 1: .*'x'"):
-            load_sequence(path)
+            load_sequence(path, "sparse_input")
 
     def test_invalid_values_name_path(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -155,7 +153,7 @@ class TestSequenceFile:
         lines[5] = "nan" + lines[5][1:]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"bad\.txt: sequence values must be finite"):
-            load_sequence(path)
+            load_sequence(path, "sparse_input")
 
     @pytest.mark.parametrize("field, value", [("kind", "pose"), ("frames", "4"),
                                               ("columns", "132"), ("fps", "30")])
@@ -166,7 +164,7 @@ class TestSequenceFile:
         lines.insert(5, f"#{field} {value}")  # after the four written fields
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as exc:
-            load_sequence(path)
+            load_sequence(path, "pose")
         assert str(exc.value) == f"{path}:6: repeated header field '{field}'"
 
     def test_repeated_free_header_line_loads(self, tmp_path):
@@ -176,7 +174,7 @@ class TestSequenceFile:
         lines = path.read_text().splitlines()
         lines[5:5] = ["#note first take", "#note second take"]
         path.write_text("\n".join(lines) + "\n")
-        got = load_sequence(path)
+        got = load_sequence(path, "pose")
         assert got.fps == 30.0
         np.testing.assert_array_equal(got.data, seq.data)
 
@@ -186,7 +184,16 @@ class TestSequenceFile:
         path.write_text(path.read_text().replace("#fps 60\n", "#fps inf\n"))
         with pytest.raises(ValueError,
                            match=r"bad\.txt: fps must be a finite positive number, got inf"):
-            load_sequence(path)
+            load_sequence(path, "pose")
+
+    @pytest.mark.parametrize("kind, other", [("pose", "sparse_input"),
+                                             ("sparse_input", "pose")])
+    def test_other_kind_refused_naming_path(self, tmp_path, kind, other):
+        path = tmp_path / "seq.txt"
+        save_sequence(path, gen_synthetic(1, 4, other))
+        with pytest.raises(ValueError) as exc:
+            load_sequence(path, kind)
+        assert str(exc.value) == f"{path}: expected a {kind} sequence, got kind {other!r}"
 
 
 class TestPosePacking:
@@ -212,22 +219,6 @@ class TestPosePacking:
         seq = Sequence(kind="sparse_input", data=rng.standard_normal((4, 36)))
         with pytest.raises(ValueError):
             pose_from_sequence(seq)
-
-
-class TestSkeletonFile:
-    def test_wrong_joint_count_rejected(self, tmp_path):
-        path = tmp_path / "skel.txt"
-        path.write_text("0 -1 0 0 0\n1 0 1 0 0\n")
-        with pytest.raises(ValueError, match="22"):
-            load_skeleton(path)
-
-    def test_bad_value_names_path(self, tmp_path):
-        path = tmp_path / "skel.txt"
-        path.write_text("0 -1 0 0 0\n1 0 x 0 0\n")
-        with pytest.raises(ValueError) as exc:
-            load_skeleton(path)
-        assert str(exc.value).startswith(f"{path}: skeleton line 2: ")
-        assert "'x'" in str(exc.value)
 
 
 class TestRunConfig:
@@ -406,8 +397,6 @@ class TestMetricReportText:
 # ---------------------------------------------------------------------------
 # corrupt files: every loader either loads or raises ValueError naming the path
 
-_BUNDLED_SKELETON = importlib.resources.files("kinescan").joinpath("data/skeleton_smpl22.txt")
-
 _FORMATS = {
     "checkpoint": (
         lambda path: save_checkpoint(path, init_weights(ModelConfig(seed=0, **MICRO_CONFIG_KWARGS))),
@@ -415,14 +404,13 @@ _FORMATS = {
     ),
     "sequence": (
         lambda path: save_sequence(path, gen_synthetic(1, 8, "sparse_input")),
-        load_sequence,
+        lambda path: load_sequence(path, "sparse_input"),
     ),
-    "skeleton": (lambda path: path.write_bytes(_BUNDLED_SKELETON.read_bytes()), load_skeleton),
     "run_config": (lambda path: path.write_text(MICRO_CONFIG_TEXT), load_run_config),
 }
 
 
-@pytest.mark.parametrize("fmt", ["sequence", "skeleton", "run_config"])
+@pytest.mark.parametrize("fmt", ["sequence", "run_config"])
 def test_non_utf8_byte_names_path_and_offset(tmp_path, fmt):
     write, load = _FORMATS[fmt]
     path = tmp_path / "file.txt"

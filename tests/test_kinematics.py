@@ -172,7 +172,6 @@ class TestTreeValidation:
     def test_default_tree_matches_constants(self, tree):
         assert tree.parent == PARENTS_EXPECTED
         assert tree.num_joints == 22
-        assert tree.root == 0
         assert tree.topo_order[0] == 0
         assert sorted(tree.topo_order) == list(range(22))
 
