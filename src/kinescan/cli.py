@@ -70,10 +70,13 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     pred_seq = kio.load_sequence(args.pred, "pose")
     gt_seq = kio.load_sequence(args.gt, "pose")
-    # velocity and jitter scale with the frame rate, so both files must share it
-    if (pred_seq.frames, pred_seq.fps) != (gt_seq.frames, gt_seq.fps):
+    # velocity and jitter scale with the frame rate, so both files must share
+    # it; velocity needs two frames
+    if ((pred_seq.frames, pred_seq.fps) != (gt_seq.frames, gt_seq.fps)
+            or gt_seq.frames < 2):
         raise ValueError(
-            f"frame count or rate mismatch: {args.pred} has {pred_seq.frames} frames "
+            "frame count or rate mismatch, or fewer than two frames: "
+            f"{args.pred} has {pred_seq.frames} frames "
             f"at {pred_seq.fps:.9g} fps, {args.gt} has {gt_seq.frames} frames at "
             f"{gt_seq.fps:.9g} fps"
         )

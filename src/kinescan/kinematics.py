@@ -1,5 +1,9 @@
 """SMPL-22 skeleton topology, kinematic-tree scan orders, forward kinematics.
 
+The body is one tree whose joints are numbered parents before children:
+joint 0 is the root and every other joint's parent has a lower index, so
+forward kinematics walks the joints in index order.
+
 The three scan orders in ``SCAN_ORDERS`` linearize the 22-joint tree for
 sequence kernels:
 
@@ -12,7 +16,7 @@ sequence kernels:
 
 import functools
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +31,6 @@ __all__ = [
     "reorder_joint_features",
     "inverse_reorder_joint_features",
     "forward_kinematics",
-    "parse_skeleton_text",
     "default_tree",
 ]
 
@@ -75,15 +78,16 @@ SCAN_ORDERS = {
 
 @dataclass(frozen=True)
 class KinematicTree:
-    """Parent pointers plus rest-pose bone offsets (meters) for 22 joints.
+    """Parent pointers plus rest-pose bone offsets (meters), one row per joint.
 
-    Joints may be listed in any order; a topological ordering is derived
-    at construction. Exactly one joint must have parent -1.
+    Joints are numbered parents before children: joint 0 is the only root
+    (parent -1) and every other joint j has its parent in 0..j-1. That one
+    rule excludes a second root, a missing root, an out-of-range parent and
+    a cycle.
     """
 
     parent: tuple
     offset: np.ndarray
-    topo_order: tuple = field(init=False)
 
     def __post_init__(self):
         parent = tuple(int(p) for p in self.parent)
@@ -91,37 +95,16 @@ class KinematicTree:
         n = len(parent)
         if offset.shape != (n, 3):
             raise ValueError(f"offset shape {offset.shape} does not match {n} joints")
-        if not np.all(np.isfinite(offset)):
-            raise ValueError("offsets must be finite")
-        roots = [j for j, p in enumerate(parent) if p == -1]
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one root, found {len(roots)}")
-        for j, p in enumerate(parent):
-            if p != -1 and not 0 <= p < n:
-                raise ValueError(f"joint {j} has out-of-range parent {p}")
-        # walk each joint to the root; more than n hops means a cycle
-        for j in range(n):
-            seen = 0
-            k = j
-            while parent[k] != -1:
-                k = parent[k]
-                seen += 1
-                if seen > n:
-                    raise ValueError(f"cycle in parent pointers at joint {j}")
-        children = [[] for _ in range(n)]
-        for j, p in enumerate(parent):
-            if p != -1:
-                children[p].append(j)
-        topo = [roots[0]]
-        for j in topo:
-            topo.extend(children[j])
+        bad = np.flatnonzero(~np.isfinite(offset).all(axis=1))
+        if bad.size:
+            raise ValueError(f"joint {bad[0]} has a non-finite offset {offset[bad[0]]}")
+        if parent[:1] != (-1,):
+            raise ValueError(f"joint 0 must be the root (parent -1), got parents {parent}")
+        for j, p in enumerate(parent[1:], start=1):
+            if not 0 <= p < j:
+                raise ValueError(f"joint {j} has parent {p}, not one of joints 0..{j - 1}")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "topo_order", tuple(topo))
-
-    @property
-    def num_joints(self) -> int:
-        return len(self.parent)
 
 
 def reorder_joint_features(features: np.ndarray, order: tuple) -> np.ndarray:
@@ -200,7 +183,7 @@ def forward_kinematics(pose: np.ndarray, tree: KinematicTree,
     from .rotations import sixd_to_matrix
 
     pose = np.asarray(pose, dtype=np.float64)
-    n = tree.num_joints
+    n = len(tree.parent)
     if pose.shape[-2:] == (n, 6):
         local = sixd_to_matrix(pose)
     elif pose.shape[-3:] == (n, 3, 3):
@@ -219,57 +202,27 @@ def forward_kinematics(pose: np.ndarray, tree: KinematicTree,
 
     global_rot = np.empty_like(local)
     position = np.empty(batch + (n, 3))
-    for j in tree.topo_order:
+    global_rot[..., 0, :, :] = local[..., 0, :, :]
+    position[..., 0, :] = root_position
+    # parents come before children, so index order reaches each parent first
+    for j in range(1, n):
         p = tree.parent[j]
-        if p == -1:
-            global_rot[..., j, :, :] = local[..., j, :, :]
-            position[..., j, :] = root_position
-        else:
-            global_rot[..., j, :, :] = global_rot[..., p, :, :] @ local[..., j, :, :]
-            position[..., j, :] = position[..., p, :] + (
-                global_rot[..., p, :, :] @ tree.offset[j]
-            )
+        global_rot[..., j, :, :] = global_rot[..., p, :, :] @ local[..., j, :, :]
+        position[..., j, :] = position[..., p, :] + (
+            global_rot[..., p, :, :] @ tree.offset[j]
+        )
     if return_rotations:
         return position, global_rot
     return position
 
 
-def parse_skeleton_text(text: str) -> KinematicTree:
-    """Build a KinematicTree from skeleton-file text.
-
-    One joint per line: ``joint_index parent_index ox oy oz``. Lines may
-    appear in any order; '#' comments and blank lines are skipped.
-    """
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"skeleton line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            j = int(parts[0])
-            p = int(parts[1])
-            off = [float(v) for v in parts[2:5]]
-        except ValueError as exc:
-            raise ValueError(f"skeleton line {lineno}: {exc}") from None
-        if j in entries:
-            raise ValueError(f"skeleton line {lineno}: duplicate joint {j}")
-        entries[j] = (p, off)
-    n = len(entries)
-    if sorted(entries) != list(range(n)):
-        raise ValueError("skeleton joint indices must be exactly 0..n-1")
-    parent = tuple(entries[j][0] for j in range(n))
-    offset = np.array([entries[j][1] for j in range(n)])
-    return KinematicTree(parent=parent, offset=offset)
-
-
 def default_tree() -> KinematicTree:
-    """The bundled neutral-body SMPL-22 skeleton."""
+    """The bundled neutral-body SMPL-22 skeleton: one row ``joint parent ox
+    oy oz`` per joint, in joint order; ``#`` starts a comment."""
     text = (
         importlib.resources.files("kinescan")
         .joinpath("data/skeleton_smpl22.txt")
         .read_text(encoding="utf-8")
     )
-    return parse_skeleton_text(text)
+    table = np.loadtxt(text.splitlines(), ndmin=2)
+    return KinematicTree(parent=table[:, 1].astype(int), offset=table[:, 2:])

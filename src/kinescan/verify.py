@@ -140,21 +140,14 @@ def check_scan_orders():
 
 
 def _fk_oracle(pose_mats, tree, root_position):
-    """Forward kinematics via explicit 4x4 homogeneous chains."""
-    n = tree.num_joints
-    mats = [None] * n
-    for j in tree.topo_order:
-        local = np.eye(4)
-        local[:3, :3] = pose_mats[j]
-        p = tree.parent[j]
-        if p == -1:
-            local[:3, 3] = root_position
-            mats[j] = local
-        else:
-            step = np.eye(4)
-            step[:3, :3] = pose_mats[j]
-            step[:3, 3] = tree.offset[j]
-            mats[j] = mats[p] @ step
+    """Forward kinematics via explicit 4x4 homogeneous chains, built in
+    index order from the root, joint 0."""
+    mats = []
+    for j, p in enumerate(tree.parent):
+        step = np.eye(4)
+        step[:3, :3] = pose_mats[j]
+        step[:3, 3] = root_position if j == 0 else tree.offset[j]
+        mats.append(step if j == 0 else mats[p] @ step)
     return np.stack([m[:3, 3] for m in mats])
 
 
@@ -174,9 +167,7 @@ def check_fk_oracle(seed=0, poses=100):
         worst = max(worst, np.abs(pos - oracle).max())
         if worst > 1e-9:
             return False, f"FK differs from homogeneous oracle by {worst:.3g}"
-        for j, p in enumerate(tree.parent):
-            if p == -1:
-                continue
+        for j, p in enumerate(tree.parent[1:], start=1):
             bone = np.linalg.norm(pos[j] - pos[p])
             if abs(bone - np.linalg.norm(tree.offset[j])) > 1e-9:
                 return False, f"bone length not preserved at joint {j}"

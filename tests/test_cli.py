@@ -160,6 +160,18 @@ class TestEval:
         assert main(["eval", str(a), str(b)]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_single_frame_names_both_files(self, tmp_path, capsys):
+        a, b = tmp_path / "one_a.txt", tmp_path / "one_b.txt"
+        for path in (a, b):
+            main(["gen-synthetic", "--kind", "pose", "--frames", "1", "--out", str(path)])
+        capsys.readouterr()
+        assert main(["eval", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert "fewer than two frames" in captured.err
+        assert f"{a} has 1 frames at 60 fps" in captured.err
+        assert f"{b} has 1 frames at 60 fps" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("order", ["pred-30", "gt-30"])
     def test_frame_rate_mismatch_names_both_files(self, tmp_path, capsys, order):
         slow, fast = tmp_path / "pose30.txt", tmp_path / "pose60.txt"

@@ -1,3 +1,5 @@
+import importlib.resources
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from kinescan.kinematics import (
     default_tree,
     forward_kinematics,
     inverse_reorder_joint_features,
-    parse_skeleton_text,
     reorder_joint_features,
 )
 from kinescan.rotations import exp_map
@@ -23,6 +24,30 @@ UKS_EXPECTED = (21, 19, 17, 14, 15, 12, 20, 18, 16, 13, 9, 6, 3, 0, 1, 4, 7,
                 10, 2, 5, 8, 11)
 PARENTS_EXPECTED = (-1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 12, 13, 14,
                     16, 17, 18, 19)
+OFFSETS_EXPECTED = np.array([
+    (0.0, 0.0, 0.0),
+    (0.058, -0.082, -0.017),
+    (-0.06, -0.09, -0.013),
+    (0.004, 0.124, -0.038),
+    (0.04, -0.402, -0.014),
+    (-0.039, -0.4, -0.014),
+    (0.001, 0.129, 0.034),
+    (-0.007, -0.382, -0.029),
+    (0.008, -0.381, -0.033),
+    (-0.003, 0.057, 0.007),
+    (0.021, -0.052, 0.13),
+    (-0.026, -0.052, 0.126),
+    (0.0, 0.218, -0.018),
+    (0.069, 0.111, -0.008),
+    (-0.083, 0.111, -0.012),
+    (0.006, 0.062, 0.043),
+    (0.101, 0.028, -0.012),
+    (-0.094, 0.025, -0.011),
+    (0.26, -0.01, -0.023),
+    (-0.261, -0.009, -0.023),
+    (0.258, 0.006, -0.005),
+    (-0.254, 0.005, -0.005),
+])
 
 
 def chain_tree(offsets):
@@ -38,7 +63,7 @@ def rot_z(theta):
 
 def fk_homogeneous(local, tree, root_position):
     """Oracle: 4x4 transforms multiplied along each joint's ancestor chain."""
-    n = tree.num_joints
+    n = len(tree.parent)
     out = np.zeros((n, 3))
     for j in range(n):
         chain = []
@@ -60,6 +85,20 @@ def fk_homogeneous(local, tree, root_position):
 class TestConstants:
     def test_parents(self):
         assert default_tree().parent == PARENTS_EXPECTED
+
+    def test_bundled_table_rows_in_joint_order(self):
+        # default_tree reads row j as joint j, so the file must list 0..21 in order
+        text = (importlib.resources.files("kinescan")
+                .joinpath("data/skeleton_smpl22.txt").read_text(encoding="utf-8"))
+        rows = [line.split() for line in text.splitlines()
+                if line.strip() and not line.startswith("#")]
+        assert [int(row[0]) for row in rows] == list(range(NUM_JOINTS))
+        np.testing.assert_array_equal(default_tree().offset, OFFSETS_EXPECTED)
+
+    def test_default_tree_calls_build_equal_trees(self):
+        a, b = default_tree(), default_tree()
+        assert a.parent == b.parent
+        np.testing.assert_array_equal(a.offset, b.offset)
 
     def test_joint_names_count(self):
         assert len(SMPL_JOINT_NAMES) == NUM_JOINTS == 22
@@ -171,34 +210,35 @@ class TestReorder:
 class TestTreeValidation:
     def test_default_tree_matches_constants(self, tree):
         assert tree.parent == PARENTS_EXPECTED
-        assert tree.num_joints == 22
-        assert tree.topo_order[0] == 0
-        assert sorted(tree.topo_order) == list(range(22))
 
     def test_two_roots_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"joint 1 has parent -1"):
             KinematicTree(parent=(-1, -1, 0), offset=np.zeros((3, 3)))
 
     def test_no_root_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"joint 0 must be the root"):
             KinematicTree(parent=(1, 0), offset=np.zeros((2, 3)))
 
     def test_out_of_range_parent_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"joint 1 has parent 5"):
             KinematicTree(parent=(-1, 5, 0), offset=np.zeros((3, 3)))
 
     def test_cycle_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"joint 1 has parent 2"):
             KinematicTree(parent=(-1, 2, 1), offset=np.zeros((3, 3)))
 
+    def test_child_before_parent_rejected(self):
+        with pytest.raises(ValueError, match=r"joint 1 has parent 2, not one of joints 0\.\.0"):
+            KinematicTree(parent=(-1, 2, 0), offset=np.zeros((3, 3)))
+
     def test_offset_shape_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"offset shape \(2, 2\) does not match 2 joints"):
             KinematicTree(parent=(-1, 0), offset=np.zeros((2, 2)))
 
     def test_nonfinite_offset_rejected(self):
         off = np.zeros((2, 3))
         off[1, 0] = np.inf
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"joint 1 has a non-finite offset"):
             KinematicTree(parent=(-1, 0), offset=off)
 
 
@@ -260,9 +300,8 @@ class TestForwardKinematics:
     def test_returns_global_rotations(self, tree, rng):
         local = exp_map(rng.uniform(-1, 1, size=(22, 3)))
         _, glob = forward_kinematics(local, tree, return_rotations=True)
-        for j in tree.topo_order:
-            p = tree.parent[j]
-            expected = local[j] if p == -1 else glob[p] @ local[j]
+        for j, p in enumerate(tree.parent):
+            expected = local[j] if j == 0 else glob[p] @ local[j]
             np.testing.assert_allclose(glob[j], expected, atol=1e-12)
 
     def test_batched_matches_per_frame(self, tree, rng):
@@ -276,30 +315,3 @@ class TestForwardKinematics:
         with pytest.raises(ValueError):
             forward_kinematics(np.zeros((22, 5)), tree)
 
-
-class TestSkeletonText:
-    def test_comments_and_blank_lines_skipped(self):
-        text = "# header\n\n0 -1 0 0 0\n1 0 1 0 0  # arm\n"
-        t = parse_skeleton_text(text)
-        assert t.parent == (-1, 0)
-
-    def test_wrong_field_count_rejected(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_skeleton_text("0 -1 0 0\n")
-
-    def test_non_numeric_rejected(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_skeleton_text("0 -1 0 0 0\n1 zero 1 0 0\n")
-
-    def test_duplicate_joint_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            parse_skeleton_text("0 -1 0 0 0\n0 -1 1 0 0\n")
-
-    def test_gap_in_indices_rejected(self):
-        with pytest.raises(ValueError):
-            parse_skeleton_text("0 -1 0 0 0\n2 0 1 0 0\n")
-
-    def test_default_tree_cached_instances_equal(self):
-        a, b = default_tree(), default_tree()
-        assert a.parent == b.parent
-        np.testing.assert_array_equal(a.offset, b.offset)
