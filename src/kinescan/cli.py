@@ -242,5 +242,35 @@ def main(argv=None) -> int:
         return 1
 
 
+def _set_heap_policy() -> None:
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 16 MiB.
+
+    Left dynamic, glibc raises both only after the process frees a large
+    mapped block. A process that never does keeps the 128 KiB default, so
+    each window's multi-MB temporaries are mapped, page-faulted in and
+    unmapped anew. Called once at process entry, not by ``main`` or at
+    import, so in-process callers keep their own heap. Does nothing where
+    the C library is not glibc.
+    """
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc only
+    except (OSError, TypeError, AttributeError):
+        return
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD, from malloc.h
+    libc.mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+
+
+def run() -> int:
+    """Process entry of ``python -m kinescan.cli`` and the ``kinescan``
+    script: the heap policy, then ``main``."""
+    _set_heap_policy()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -2,9 +2,13 @@
 
 All text formats write floats with 9 significant digits, which round-trips
 32-bit values exactly, so parse(serialize(x)) == x bitwise for valid x.
+Sequences are written row by row and checkpoints read tensor by tensor,
+straight between the file and the arrays, so neither holds a copy of the
+file.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -81,18 +85,15 @@ class Sequence:
 
 
 def save_sequence(path, seq: Sequence) -> None:
-    lines = [
-        _SEQ_MAGIC,
-        f"#kind {seq.kind}",
-        f"#frames {seq.frames}",
-        f"#columns {seq.data.shape[1]}",
-        f"#fps {_fmt(seq.fps)}",
-    ]
-    row_format = " ".join(["%.9g"] * seq.data.shape[1])
-    for row in seq.data:
-        lines.append(row_format % tuple(row.tolist()))
+    """Write ``seq`` as text, each row as soon as it is formatted, so the
+    write holds no copy of the file."""
+    row_format = " ".join(["%.9g"] * seq.data.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            f"{_SEQ_MAGIC}\n#kind {seq.kind}\n#frames {seq.frames}\n"
+            f"#columns {seq.data.shape[1]}\n#fps {_fmt(seq.fps)}\n"
+        )
+        fh.writelines(row_format % tuple(row.tolist()) for row in seq.data)
 
 
 def load_sequence(path, kind: str) -> Sequence:
@@ -234,44 +235,51 @@ def save_checkpoint(path, weights: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
+    """The named float32 tensors in ``path``. Each tensor is read from the
+    file into its own aligned array, so the load holds no copy of the file.
+    Every field and tensor size is checked against the file's length before
+    it is read or allocated, so a corrupt size is refused, naming the path,
+    and never sizes an allocation."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(_CKPT_MAGIC):
-        raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    off = len(_CKPT_MAGIC)
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint (bad magic)")
+        off = len(_CKPT_MAGIC)
 
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
-        vals = struct.unpack_from(fmt, blob, off)
-        off += size
-        return vals
+        def claim(nbytes, what="checkpoint"):
+            # the next ``nbytes`` of the file, refused unless the file has them
+            nonlocal off
+            if off + nbytes > size:
+                raise ValueError(f"{path}: truncated {what}")
+            off += nbytes
+            return nbytes
 
-    version, count = take("<II")
-    if version != _CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    weights = {}
-    for _ in range(count):
-        (name_len,) = take("<I")
-        try:
-            name = blob[off : off + name_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: tensor name at byte {off} is not valid UTF-8") from None
-        off += name_len
-        (rank,) = take("<I")
-        dims = take(f"<{rank}I")
-        n = math.prod(dims)  # exact: huge dims fail the size check, not wrap
-        nbytes = 4 * n
-        if off + nbytes > len(blob):
-            raise ValueError(f"{path}: truncated tensor {name!r}")
-        if name in weights:
-            raise ValueError(f"{path}: tensor {name!r} appears twice")
-        data = np.frombuffer(blob, dtype="<f4", count=n, offset=off)
-        off += nbytes
-        weights[name] = data.reshape(dims).astype(np.float32)
-    if off != len(blob):
+        def take(fmt):
+            return struct.unpack(fmt, fh.read(claim(struct.calcsize(fmt))))
+
+        version, count = take("<II")
+        if version != _CKPT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        weights = {}
+        for _ in range(count):
+            (name_len,) = take("<I")
+            start = off
+            try:
+                name = fh.read(claim(name_len)).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(
+                    f"{path}: tensor name at byte {start} is not valid UTF-8") from None
+            (rank,) = take("<I")
+            dims = take(f"<{rank}I")
+            # exact: huge dims fail the size check, not wrap
+            nbytes = claim(4 * math.prod(dims), f"tensor {name!r}")
+            if name in weights:
+                raise ValueError(f"{path}: tensor {name!r} appears twice")
+            tensor = np.empty(dims, dtype="<f4")
+            if fh.readinto(tensor) != nbytes:
+                raise ValueError(f"{path}: truncated tensor {name!r}")
+            weights[name] = tensor
+    if off != size:
         raise ValueError(f"{path}: trailing bytes after last tensor")
     return weights
 

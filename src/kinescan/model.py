@@ -222,7 +222,14 @@ def check_weights(config: ModelConfig, weights: dict, source) -> None:
     with finite values only."""
     expected = {name: shape for name, shape, _ in _weight_plan(config)}
     if set(weights) != set(expected):
-        raise ValueError(f"{source}: tensor names do not match the config")
+        missing = [name for name in expected if name not in weights]
+        unexpected = [name for name in weights if name not in expected]
+        found = [f"{what} {names[0]!r} (first of {len(names)})"
+                 for what, names in (("missing", missing), ("unexpected", unexpected))
+                 if names]
+        raise ValueError(
+            f"{source}: tensor names do not match the config: {', '.join(found)}"
+        )
     for name, tensor in weights.items():
         if tensor.shape != expected[name]:
             raise ValueError(

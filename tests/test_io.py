@@ -1,4 +1,6 @@
 import re
+import struct
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -375,6 +377,87 @@ class TestCheckpoint:
         save_checkpoint(path, {"s": np.float32(2.5)})
         got = load_checkpoint(path)["s"]
         assert got.shape == (1,) and got[0] == np.float32(2.5)
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes that ``fn`` allocated through tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestStreamingIo:
+    """Loading a checkpoint holds no copy of the file, and writing a
+    sequence holds no copy of its text."""
+
+    def test_checkpoint_load_peaks_at_its_tensor_bytes(self, tmp_path, rng):
+        weights = {"a": rng.standard_normal((512, 1024)).astype(np.float32),
+                   "b": rng.standard_normal(999).astype(np.float32),
+                   "c": rng.standard_normal((3, 256, 512)).astype(np.float32)}
+        nbytes = sum(t.nbytes for t in weights.values())
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, weights)
+        got, peak = _traced_peak(load_checkpoint, path)
+        assert peak <= 1.1 * nbytes, f"peak {peak} for {nbytes} tensor bytes"
+        for name in weights:
+            assert np.array_equal(got[name], weights[name])
+
+    def test_loaded_tensors_aligned_writable_and_independent(self, tmp_path, rng):
+        path = tmp_path / "w.ckpt"
+        # odd name lengths and sizes put every tensor at an unaligned file offset
+        save_checkpoint(path, {"a": rng.standard_normal((3, 5)).astype(np.float32),
+                               "bb": rng.standard_normal(7).astype(np.float32),
+                               "ccc": rng.standard_normal((2, 2, 3)).astype(np.float32)})
+        got = load_checkpoint(path)
+        for tensor in got.values():
+            assert tensor.dtype == np.float32
+            assert tensor.flags.aligned and tensor.flags.writeable
+            assert tensor.flags.c_contiguous
+        names = sorted(got)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                assert not np.shares_memory(got[a], got[b])
+
+    def test_rank_zero_and_zero_size_tensors(self, tmp_path):
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, {"e": np.zeros((0, 3), dtype=np.float32)})
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, load_checkpoint(path))
+        assert again.read_bytes() == path.read_bytes()
+        assert load_checkpoint(again)["e"].shape == (0, 3)
+        # save_checkpoint writes a scalar as a length-one vector, so a rank-0
+        # record is written by hand: name "s", rank 0, no dims, one float
+        path.write_bytes(b"KINESCAN-CKPT\x00" + struct.pack("<III", 1, 1, 1) + b"s"
+                         + struct.pack("<If", 0, 2.5))
+        got = load_checkpoint(path)["s"]
+        assert got.shape == () and got == np.float32(2.5)
+
+    def test_huge_rank_refused_without_allocating(self, tmp_path):
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, {"a": np.zeros(2, dtype=np.float32)})
+        raw = bytearray(path.read_bytes())
+        # magic (14), version and count (8), name length (4), name "a" (1)
+        assert struct.unpack_from("<I", raw, 27) == (1,)
+        struct.pack_into("<I", raw, 27, 0xFFFFFFF0)
+        path.write_bytes(bytes(raw))
+
+        def refused():
+            with pytest.raises(ValueError, match=r"w\.ckpt: truncated checkpoint"):
+                load_checkpoint(path)
+
+        _, peak = _traced_peak(refused)
+        assert peak < 1 << 20
+
+    def test_sequence_save_holds_no_copy_of_the_text(self, tmp_path, rng):
+        seq = sequence_from_pose(rng.standard_normal((1920, 22, 6)))
+        path = tmp_path / "pose.txt"
+        _, peak = _traced_peak(save_sequence, path, seq)
+        assert path.stat().st_size > 2 << 20
+        assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 class TestMetricReportText:

@@ -236,6 +236,18 @@ class TestInitWeights:
         with pytest.raises(ValueError, match="tensor names"):
             check_weights(ModelConfig(**{**MICRO_CONFIG_KWARGS, "m_skfm": 2}), w, "w.ckpt")
 
+    def test_check_weights_names_the_tensors(self):
+        config, w = micro_weights()
+        # a micro checkpoint under the full-scale config lacks tfm1 onwards
+        with pytest.raises(ValueError, match=r"micro\.ckpt: tensor names do not match "
+                                             r"the config: missing 'tfm1\.[\w.]+' "
+                                             r"\(first of \d+\)$"):
+            check_weights(ModelConfig(), w, "micro.ckpt")
+        renamed = {("embed.b" if k == "embed.bias" else k): v for k, v in w.items()}
+        with pytest.raises(ValueError, match=r"missing 'embed\.bias' \(first of 1\), "
+                                             r"unexpected 'embed\.b' \(first of 1\)$"):
+            check_weights(config, renamed, "w.ckpt")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_check_weights_rejects_non_finite(self, bad):
         config, w = micro_weights()
