@@ -2,14 +2,14 @@
 
 Commands: orders | gen-synthetic | infer | eval | verify | train-micro |
 bench. Exit codes: 0 success, 1 validation failure, 2 property-suite
-failure.
+failure. The commands that use synthetic, verify, training or bench
+import them when they run, so ``infer`` and ``eval`` load none of them.
 """
 
 import argparse
 import sys
 
 from . import io as kio
-from .bench import format_bench_table, run_benchmark
 from .kinematics import SCAN_ORDERS, default_tree
 from .metrics import check_fps, metrics
 from .model import (
@@ -20,9 +20,6 @@ from .model import (
     init_weights,
 )
 from .rotations import DegenerateRotationError, sixd_to_matrix
-from .synthetic import gen_synthetic, sparse_from_pose
-from .training import smoothed_trace, train_micro
-from .verify import run_all
 
 __all__ = ["main"]
 
@@ -47,6 +44,8 @@ def cmd_orders(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    from .synthetic import gen_synthetic
+
     seq = gen_synthetic(args.seed, args.frames, args.kind, fps=args.fps)
     kio.save_sequence(args.out, seq)
     print(f"wrote {args.kind} sequence: {seq.frames} frames -> {args.out}")
@@ -103,6 +102,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
+
     results = run_all(seed=args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
@@ -112,6 +113,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train_micro(args) -> int:
+    from .synthetic import gen_synthetic, sparse_from_pose
+    from .training import smoothed_trace, train_micro
+
     if args.config is None:
         config = ModelConfig(seed=args.seed, **MICRO_CONFIG_KWARGS)
     else:
@@ -151,6 +155,8 @@ def cmd_train_micro(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import format_bench_table, run_benchmark
+
     result = run_benchmark(t_list=args.t_list, trials=args.trials)
     print(format_bench_table(result), end="")
     return 0

@@ -4,7 +4,9 @@ All text formats write floats with 9 significant digits, which round-trips
 32-bit values exactly, so parse(serialize(x)) == x bitwise for valid x.
 Sequences are written row by row and checkpoints read tensor by tensor,
 straight between the file and the arrays, so neither holds a copy of the
-file.
+file. A sequence body is parsed in one ``np.loadtxt`` call, as float64
+then cast to float32 (the bits a per-value ``float`` parse gives); its
+values must be ASCII decimal numbers.
 """
 
 import math
@@ -123,22 +125,41 @@ def load_sequence(path, kind: str) -> Sequence:
             if n > body_start and line.strip()]
     if len(body) != frames:
         raise ValueError(f"{path}: header says {frames} frames, found {len(body)}")
-    # rows are checked before any array exists, so no header value sizes one
-    rows = []
+    if not body:
+        raise ValueError(f"{path}: a sequence needs at least one frame")
+    # one parse of the whole body; no header value sizes an array, and a
+    # refused body is walked line by line only to name its first bad line
+    try:
+        data = np.loadtxt([line for _, line in body], dtype=np.float64,
+                          comments=None, ndmin=2)
+        if data.shape[1] != columns:
+            raise ValueError(f"{data.shape[1]} columns, expected {columns}")
+    except ValueError as exc:
+        raise (_bad_body(path, body, columns) or ValueError(f"{path}: {exc}")) from None
+    try:
+        return Sequence(kind=kind, data=data.astype(np.float32), fps=fps)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _bad_body(path, body, columns):
+    """The error naming the first body line that is not ``columns`` ASCII
+    decimal numbers, as ``np.loadtxt`` reads them: ``float`` syntax without
+    ``_`` separators or non-ASCII digits. None if every line is."""
     for i, (n, line) in enumerate(body):
         parts = line.split()
         if len(parts) != columns:
-            raise ValueError(
+            return ValueError(
                 f"{path}:{n}: frame {i} has {len(parts)} columns, expected {columns}"
             )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{n}: frame {i}: {exc}") from None
-    try:
-        return Sequence(kind=kind, data=np.array(rows, dtype=np.float32), fps=fps)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        for part in parts:
+            try:
+                if not part.isascii() or "_" in part:
+                    raise ValueError(f"could not convert string to float: {part!r}")
+                float(part)
+            except ValueError as exc:
+                return ValueError(f"{path}:{n}: frame {i}: {exc}")
+    return None
 
 
 def _header_field(path, header, key, conv):

@@ -351,14 +351,25 @@ def _child_env():
     return env
 
 
-def test_cli_import_does_not_load_scipy():
-    # every fresh `kinescan` process pays for what importing the CLI loads
-    code = ("import sys, kinescan.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _modules_loaded_by_cli_import():
+    """The names in ``sys.modules`` after a fresh ``import kinescan.cli``."""
+    code = "import sys, kinescan.cli; print(' '.join(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "[]"
+    return set(done.stdout.split())
+
+
+def test_cli_import_does_not_load_scipy():
+    # every fresh `kinescan` process pays for what importing the CLI loads
+    loaded = _modules_loaded_by_cli_import()
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+
+
+def test_cli_import_loads_no_command_only_module():
+    # infer and eval use none of these; the commands that do import them
+    only = {f"kinescan.{m}" for m in ("bench", "synthetic", "training", "verify")}
+    assert sorted(_modules_loaded_by_cli_import() & only) == []
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

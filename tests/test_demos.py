@@ -1,5 +1,6 @@
-"""Each narrative script under demos/ runs to completion in a fresh
-interpreter, so a rename in the package cannot silently break one."""
+"""Each narrative script under demos/ and README's library sketch runs to
+completion in a fresh interpreter, so a rename in the package cannot
+silently break one."""
 
 import os
 import pathlib
@@ -16,13 +17,26 @@ def test_all_seven_demos_found():
     assert len(DEMOS) == 7
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def _run(args, cwd):
+    """Run ``python args`` in ``cwd`` with the package's ``src`` first on
+    the path; it must exit 0 and print something."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    _run([str(demo)], tmp_path)
+
+
+def test_readme_library_sketch_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library sketch", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    _run(["-c", code], tmp_path)

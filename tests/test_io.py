@@ -1,6 +1,7 @@
 import re
 import struct
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -196,6 +197,83 @@ class TestSequenceFile:
         with pytest.raises(ValueError) as exc:
             load_sequence(path, kind)
         assert str(exc.value) == f"{path}: expected a {kind} sequence, got kind {other!r}"
+
+
+def _write_body(path, rows, columns, kind="sparse_input"):
+    """A sequence file with the given body lines under a valid header."""
+    path.write_text(f"#kinescan-sequence v1\n#kind {kind}\n#frames {len(rows)}\n"
+                    f"#columns {columns}\n#fps 60\n" + "".join(r + "\n" for r in rows))
+    return path
+
+
+def _float_parse(lines):
+    """The body as a per-value ``float`` loop reads it, which is how
+    sequence files were parsed before one ``np.loadtxt`` call replaced it."""
+    return np.array([[float(p) for p in line.split()] for line in lines if line.strip()],
+                    dtype=np.float32)
+
+
+class TestBodyParse:
+    """The body is parsed in one call; its values, and the line a refused
+    body names, are those of a per-value ``float`` parse."""
+
+    def test_bitwise_equal_to_float_parse(self, tmp_path, rng):
+        # finite float32 values from random bit patterns span every exponent
+        bits = rng.integers(0, 1 << 32, size=(64, 36), dtype=np.uint64).astype(np.uint32)
+        data = bits.view(np.float32)
+        data[~np.isfinite(data)] = 1.0
+        f32 = np.finfo(np.float32)
+        data[0, :10] = [0.0, -0.0, 1e-45, -1e-45, f32.smallest_subnormal * 77,
+                        -f32.tiny / 3, f32.tiny, -f32.tiny, f32.max, -f32.max]
+        path = tmp_path / "seq.txt"
+        save_sequence(path, Sequence(kind="sparse_input", data=data))
+        got = load_sequence(path, "sparse_input").data
+        expected = _float_parse(path.read_text().splitlines()[5:])
+        assert got.tobytes() == expected.tobytes() == data.tobytes()
+
+    def test_whitespace_and_blank_lines(self, tmp_path, rng):
+        data = rng.standard_normal((4, 36)).astype(np.float32)
+        path = tmp_path / "seq.txt"
+        save_sequence(path, Sequence(kind="sparse_input", data=data))
+        lines = path.read_text().splitlines()
+        lines[5] = "\t".join(lines[5].split())
+        lines[6] = "   " + "   ".join(lines[6].split()) + "  \t"
+        lines[7:7] = ["", "  \t "]
+        path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode())
+        got = load_sequence(path, "sparse_input").data
+        assert got.tobytes() == _float_parse(lines[5:]).tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1 2 3", "frame 2 has 3 columns, expected 36"),
+        ("x", "frame 2: could not convert string to float: 'x'"),
+        ("1_0", "frame 2: could not convert string to float: '1_0'"),
+        ("\u0661", "frame 2: could not convert string to float: '\u0661'"),
+        ("#note", "frame 2: could not convert string to float: '#note'"),
+    ], ids=["ragged", "letter", "underscore", "arabic-indic-digit", "comment"])
+    def test_refused_body_names_path_line_and_frame(self, tmp_path, bad, message):
+        rows = [" ".join(["0.5"] * 36)] * 4
+        # the bad value replaces the first of a full row, except the ragged row
+        rows[2] = bad if bad == "1 2 3" else " ".join([bad] + ["0.5"] * 35)
+        path = _write_body(tmp_path / "bad.txt", rows, 36)
+        # frame 2 follows the magic line, four header lines and two rows
+        with pytest.raises(ValueError) as exc:
+            load_sequence(path, "sparse_input")
+        assert str(exc.value) == f"{path}:8: {message}"
+
+    def test_no_frames_refused_without_a_warning(self, tmp_path):
+        path = _write_body(tmp_path / "bad.txt", [], 36)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                load_sequence(path, "sparse_input")
+        assert str(exc.value) == f"{path}: a sequence needs at least one frame"
+
+    def test_parse_peaks_near_the_file_size(self, tmp_path, rng):
+        path = tmp_path / "pose.txt"
+        save_sequence(path, sequence_from_pose(rng.standard_normal((1920, 22, 6))))
+        _, peak = _traced_peak(load_sequence, path, "pose")
+        size = path.stat().st_size
+        assert peak <= 2.5 * size, f"peak {peak / size:.2f}x the file's {size} bytes"
 
 
 class TestPosePacking:
