@@ -76,8 +76,8 @@ def cmd_eval(args) -> int:
         raise ValueError(
             "frame count or rate mismatch, or fewer than two frames: "
             f"{args.pred} has {pred_seq.frames} frames "
-            f"at {pred_seq.fps:.9g} fps, {args.gt} has {gt_seq.frames} frames at "
-            f"{gt_seq.fps:.9g} fps"
+            f"at {kio.format_fps(pred_seq.fps)} fps, {args.gt} has {gt_seq.frames} "
+            f"frames at {kio.format_fps(gt_seq.fps)} fps"
         )
     pose_y, root_y = kio.pose_from_sequence(pred_seq)
     pose_z, root_z = kio.pose_from_sequence(gt_seq)

@@ -1,7 +1,9 @@
 """File formats: sequence files, run configs, checkpoints.
 
 All text formats write floats with 9 significant digits, which round-trips
-32-bit values exactly, so parse(serialize(x)) == x bitwise for valid x.
+32-bit values exactly, so parse(serialize(x)) == x bitwise for valid x. The
+frame rate is a float64 and is written by ``format_fps``, which round-trips
+it exactly.
 Sequences are written row by row and checkpoints read tensor by tensor,
 straight between the file and the arrays, so neither holds a copy of the
 file. A sequence body is parsed in one ``np.loadtxt`` call, as float64
@@ -29,6 +31,7 @@ __all__ = [
     "load_run_config",
     "save_checkpoint",
     "load_checkpoint",
+    "format_fps",
     "format_metric_report",
 ]
 
@@ -43,6 +46,13 @@ _CKPT_VERSION = 1
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
+
+
+def format_fps(fps: float) -> str:
+    """The shortest text that reads back as float64 ``fps`` exactly: the
+    9-digit form when that does, so 60 stays ``60``, else ``repr``."""
+    text = _fmt(fps)
+    return text if float(text) == fps else repr(fps)
 
 
 def _read_text(path) -> str:
@@ -93,7 +103,7 @@ def save_sequence(path, seq: Sequence) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"{_SEQ_MAGIC}\n#kind {seq.kind}\n#frames {seq.frames}\n"
-            f"#columns {seq.data.shape[1]}\n#fps {_fmt(seq.fps)}\n"
+            f"#columns {seq.data.shape[1]}\n#fps {format_fps(seq.fps)}\n"
         )
         fh.writelines(row_format % tuple(row.tolist()) for row in seq.data)
 

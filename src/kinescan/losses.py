@@ -152,39 +152,21 @@ def _log_map_adjoint(v, grad_w):
     return k[..., None, None] * hat(grad_w) + coef[..., None, None] * np.eye(3)
 
 
-def _gram_schmidt_with_jacobian(r):
-    """Rotations R(r) from ``sixd_to_matrix``, which rejects degenerate 6D
-    input, plus the (..., 3, 3, 6) Jacobian dR/dr."""
-    rot = sixd_to_matrix(r)
+def _gram_schmidt_vjp(r, rot, g):
+    """Map d loss/d R (..., 3, 3) to d loss/d r (..., 6) for
+    R = sixd_to_matrix(r), back through b3 = b1 x b2, then b2 = u/|u| with
+    u = a2 - (b1.a2) b1, then b1 = a1/|a1|."""
+    dot = lambda x, y: np.sum(x * y, axis=-1, keepdims=True)
+    a1, a2 = r[..., 0:3], r[..., 3:6]
     b1, b2 = rot[..., 0], rot[..., 1]
-    a2 = r[..., 3:6]
-    # the norms Gram-Schmidt divided by: |a1| and |a2 - (b1.a2) b1|
-    n1 = np.linalg.norm(r[..., 0:3], axis=-1, keepdims=True)
-    nu = np.linalg.norm(a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1,
-                        axis=-1, keepdims=True)
-
-    eye = np.broadcast_to(np.eye(3), b1.shape + (3,))
-    outer = lambda x, y: x[..., :, None] * y[..., None, :]
-    j_b1_a1 = (eye - outer(b1, b1)) / n1[..., None]
-    du_db1 = -(outer(b1, a2) + np.sum(b1 * a2, axis=-1)[..., None, None] * eye)
-    j_u_a1 = du_db1 @ j_b1_a1
-    j_u_a2 = eye - outer(b1, b1)
-    j_b2_u = (eye - outer(b2, b2)) / nu[..., None]
-    j_b2_a1 = j_b2_u @ j_u_a1
-    j_b2_a2 = j_b2_u @ j_u_a2
-    hat_b1 = hat(b1)
-    hat_b2 = hat(b2)
-    j_b3_a1 = -hat_b2 @ j_b1_a1 + hat_b1 @ j_b2_a1
-    j_b3_a2 = hat_b1 @ j_b2_a2
-
-    jac = np.empty(r.shape[:-1] + (3, 3, 6))
-    jac[..., :, 0, 0:3] = j_b1_a1
-    jac[..., :, 0, 3:6] = 0.0
-    jac[..., :, 1, 0:3] = j_b2_a1
-    jac[..., :, 1, 3:6] = j_b2_a2
-    jac[..., :, 2, 0:3] = j_b3_a1
-    jac[..., :, 2, 3:6] = j_b3_a2
-    return rot, jac
+    g_b1 = g[..., 0] + np.cross(b2, g[..., 2])
+    g_b2 = g[..., 1] + np.cross(g[..., 2], b1)
+    b1_a2 = dot(b1, a2)
+    g_u = (g_b2 - dot(b2, g_b2) * b2) / np.linalg.norm(a2 - b1_a2 * b1, axis=-1,
+                                                        keepdims=True)
+    g_b1 -= b1_a2 * g_u + dot(b1, g_u) * a2
+    g_a1 = (g_b1 - dot(b1, g_b1) * b1) / np.linalg.norm(a1, axis=-1, keepdims=True)
+    return np.concatenate([g_a1, g_u - dot(b1, g_u) * b1], axis=-1)
 
 
 def grad_total_loss(y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -202,7 +184,7 @@ def grad_total_loss(y: np.ndarray, z: np.ndarray) -> np.ndarray:
     if length < 2:
         return grad
 
-    rot, jac = _gram_schmidt_with_jacobian(y)
+    rot = sixd_to_matrix(y)
     v = relative_rotation(rot[:-1], rot[1:])
     wy = matrix_to_log(v, validate=False)
     wz = angular_velocity(z)
@@ -214,5 +196,5 @@ def grad_total_loss(y: np.ndarray, z: np.ndarray) -> np.ndarray:
     grad_rot = np.zeros_like(rot)
     grad_rot[:-1] += rot[1:] @ np.swapaxes(grad_v, -1, -2)
     grad_rot[1:] += rot[:-1] @ grad_v
-    grad += np.einsum("ljab,ljabk->ljk", grad_rot, jac)
+    grad += _gram_schmidt_vjp(y, rot, grad_rot)
     return grad

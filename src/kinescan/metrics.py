@@ -55,10 +55,16 @@ class MetricReport:
 
 
 def check_fps(fps) -> float:
-    """``fps`` as a float; a ValueError unless it is finite and above 0."""
+    """``fps`` as a float; a ValueError unless it is finite, above 0 and
+    low enough that fps^3, which scales jitter, is a finite float64."""
     fps = float(fps)
     if not (math.isfinite(fps) and fps > 0):
         raise ValueError(f"fps must be a finite positive number, got {fps}")
+    try:
+        fps ** 3
+    except OverflowError:
+        raise ValueError(f"fps {fps} is too high: fps^3, which scales jitter, "
+                         "overflows float64") from None
     return fps
 
 

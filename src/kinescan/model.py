@@ -433,6 +433,8 @@ def infer_windowed(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndar
     only its last r predictions are kept, so exactly T frames come out.
     """
     x = np.asarray(x)
+    if x.shape[0] < 1:
+        raise ValueError("a sequence needs at least one frame")
     length = config.seq_len
     outputs = []
     for start in range(0, x.shape[0], length):

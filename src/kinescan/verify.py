@@ -265,9 +265,10 @@ def check_loss_recomposition(seed=0, trials=5):
     return True, f"{trials} random pairs recompose within 1e-12"
 
 
-def check_metric_fixtures(fps=60.0):
+def check_metric_fixtures():
     """Identity pair -> zeros; linear motion -> zero jitter; the cubic
-    path p = (t/fps)^3 -> jitter 0.06 in 10^2 m/s^3."""
+    path p = (t/fps)^3 -> jitter 0.06 in 10^2 m/s^3 at any rate, here 60."""
+    fps = 60.0
     tree = kinematics.default_tree()
     pose = synthetic_pose(7, 8)
     rep = _metrics(pose, pose, tree, fps=fps)

@@ -68,6 +68,29 @@ class TestGenSynthetic:
 
 
 class TestInfer:
+    def test_seventeen_digit_rate_survives_infer_then_eval(self, tmp_path,
+                                                          micro_cfg_path, capsys):
+        inp, gt, pred = (tmp_path / name for name in ("in.txt", "gt.txt", "pred.txt"))
+        rate = "59.940059940059939"
+        main(["gen-synthetic", "--frames", "30", "--fps", rate, "--out", str(inp)])
+        main(["gen-synthetic", "--kind", "pose", "--frames", "30", "--fps", rate,
+              "--out", str(gt)])
+        assert main(["infer", str(inp), "--config", micro_cfg_path,
+                     "--out", str(pred)]) == 0
+        assert "#fps 59.94005994005994\n" in pred.read_text()
+        assert load_sequence(pred, "pose").fps == float(rate)
+        capsys.readouterr()
+        assert main(["eval", str(pred), str(gt)]) == 0
+        assert "frames: 30\n" in capsys.readouterr().out
+        # a mismatch prints each rate exactly, so the two can be told apart
+        other = tmp_path / "other.txt"
+        main(["gen-synthetic", "--kind", "pose", "--frames", "30", "--fps",
+              "59.940059940059946", "--out", str(other)])
+        assert main(["eval", str(pred), str(other)]) == 1
+        err = capsys.readouterr().err
+        assert (f"at 59.94005994005994 fps, {other} has 30 frames at "
+                "59.940059940059946 fps") in err
+
     def test_end_to_end_deterministic(self, tmp_path, micro_cfg_path):
         inp = tmp_path / "in.txt"
         main(["gen-synthetic", "--frames", "30", "--seed", "1", "--out", str(inp)])
@@ -156,6 +179,22 @@ class TestEval:
         captured = capsys.readouterr()
         assert f"{gt_inf}: fps must be a finite positive number" in captured.err
         assert captured.out == ""
+
+    def test_rate_too_high_for_jitter_rejected_naming_path(self, tmp_path, capsys):
+        # 1e300 is finite, but its cube, which scales jitter, is not
+        pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+        main(["gen-synthetic", "--kind", "pose", "--frames", "6", "--out", str(gt)])
+        text = gt.read_text().replace("#fps 60\n", "#fps 1e300\n")
+        pred.write_text(text)
+        gt.write_text(text)
+        capsys.readouterr()
+        assert main(["eval", str(pred), str(gt)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"kinescan: error: {pred}: fps 1e+300 is too high: fps^3, which "
+            "scales jitter, overflows float64"
+        ]
 
     def test_length_mismatch_rejected(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

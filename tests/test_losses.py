@@ -4,6 +4,7 @@ import pytest
 import kinescan.losses as losses_mod
 from kinescan.kinematics import default_tree
 from kinescan.losses import (
+    _gram_schmidt_vjp,
     _log_map_adjoint,
     angular_velocity,
     grad_total_loss,
@@ -325,3 +326,65 @@ class TestGradient:
         with pytest.raises(DegenerateRotationError) as grad_err:
             grad_total_loss(y, z)
         assert grad_err.value.index == total_err.value.index == (2, 1)
+
+
+def gram_schmidt_fd(r, g, h):
+    """Central differences of sum(g * sixd_to_matrix(r)) in each of the six
+    components of r."""
+    out = np.zeros_like(r)
+    for k in range(6):
+        step = np.zeros(6)
+        step[k] = h
+        diff = sixd_to_matrix(r + step) - sixd_to_matrix(r - step)
+        out[..., k] = np.sum(g * diff, axis=(-2, -1)) / (2 * h)
+    return out
+
+
+def unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def sixd_inputs(case, n=64, seed=11):
+    """(n, 6) values: plain random ones, or a first vector of norm 1e-3, or a
+    second vector 0.5e-3 to 1e-3 rad from the first."""
+    rng = make_rng(seed)
+    r = rng.standard_normal((n, 6))
+    if case == "short_first":
+        r[:, :3] = 1e-3 * unit(r[:, :3])
+    elif case == "near_parallel":
+        a1, a2 = r[:, :3], r[:, 3:]
+        ortho = unit(a2 - np.sum(a2 * unit(a1), axis=-1, keepdims=True) * unit(a1))
+        angle = rng.uniform(0.5e-3, 1e-3, size=(n, 1))
+        scale = rng.uniform(0.5, 2.0, size=(n, 1))
+        r[:, 3:] = scale * (np.cos(angle) * unit(a1) + np.sin(angle) * ortho)
+    return r
+
+
+class TestGramSchmidtVjp:
+    # finite-difference steps: 1e-6 of |a1| in the first two cases; near
+    # parallel, Gram-Schmidt itself is only accurate to eps / sin(angle), so
+    # the step trades that rounding against truncation at |u| ~ 1e-3
+    CASES = {"random": 1e-6, "short_first": 1e-9, "near_parallel": 5e-8}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_central_differences(self, case):
+        r = sixd_inputs(case)
+        g = make_rng(12).standard_normal((len(r), 3, 3))
+        got = _gram_schmidt_vjp(r, sixd_to_matrix(r), g)
+        want = gram_schmidt_fd(r, g, self.CASES[case])
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-6 * scale)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_invariances(self, case):
+        # R ignores a1's length, and a2 only through its part along b2, so
+        # dL/da1 is orthogonal to a1 and dL/da2 lies along b3; near parallel,
+        # the computed b1 and b2 are orthogonal only to about 1e-12
+        r = sixd_inputs(case)
+        rot = sixd_to_matrix(r)
+        got = _gram_schmidt_vjp(r, rot, make_rng(13).standard_normal((len(r), 3, 3)))
+        g_a1, g_a2 = got[:, :3], got[:, 3:]
+        a1_part = np.abs(np.sum(g_a1 * unit(r[:, :3]), axis=-1))
+        assert np.all(a1_part <= 1e-10 * np.linalg.norm(g_a1, axis=-1))
+        off_b3 = np.linalg.norm(np.cross(g_a2, rot[..., 2]), axis=-1)
+        assert np.all(off_b3 <= 1e-10 * np.linalg.norm(g_a2, axis=-1))

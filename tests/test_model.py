@@ -640,6 +640,11 @@ class TestInferWindowed:
         padded = np.pad(x, ((19, 0), (0, 0)), mode="edge")
         assert np.array_equal(got, kinest_forward(padded, config, w)[-5:])
 
+    def test_empty_input_rejected(self):
+        config, w = micro_weights()
+        with pytest.raises(ValueError, match="a sequence needs at least one frame"):
+            infer_windowed(np.zeros((0, 36), dtype=np.float32), config, w)
+
 
 # sha256 of the float32 bytes of full-scale outputs with seed-0 weights
 GOLDEN_FORWARD = {
