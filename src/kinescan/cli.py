@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import io as kio
-from .kinematics import SCAN_ORDERS, default_tree
+from .kinematics import SCAN_ORDERS, default_tree, sixd_blocks
 from .metrics import check_fps, metrics
 from .model import (
     MICRO_CONFIG_KWARGS,
@@ -19,7 +19,7 @@ from .model import (
     infer_windowed,
     init_weights,
 )
-from .rotations import DegenerateRotationError, sixd_to_matrix
+from .rotations import DegenerateRotationError
 
 __all__ = ["main"]
 
@@ -88,11 +88,14 @@ def cmd_eval(args) -> int:
         # the error does not say which input it came from; convert each alone
         for path, pose in ((args.pred, pose_y), (args.gt, pose_z)):
             try:
-                sixd_to_matrix(pose)
+                for _ in sixd_blocks(pose):
+                    pass
             except DegenerateRotationError as exc:
                 frame, joint = exc.index
                 raise ValueError(f"{path}: frame {frame}, joint {joint}: {exc}") from None
         raise
+    except ValueError as exc:
+        raise ValueError(f"evaluating {args.pred} against {args.gt}: {exc}") from None
     text = kio.format_metric_report(report)
     print(text, end="")
     if args.out:

@@ -320,10 +320,14 @@ def load_checkpoint(path) -> dict:
 
 
 def format_metric_report(report: MetricReport) -> str:
+    """One ``key: value`` line per field; the rate is written by
+    ``format_fps``, so the text reads back as the rate the metrics used."""
     lines = []
     for key, value in report.items():
         if value is None:
             lines.append(f"{key}: n/a")
+        elif key == "fps":
+            lines.append(f"{key}: {format_fps(value)}")
         elif isinstance(value, float):
             lines.append(f"{key}: {_fmt(value)}")
         else:

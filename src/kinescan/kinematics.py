@@ -20,17 +20,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rotations import DegenerateRotationError, sixd_to_matrix
+
 __all__ = [
     "NUM_JOINTS",
     "POSE_WIDTH",
     "TRACKED_JOINTS",
     "RIG_CHANNELS",
+    "FRAME_BLOCK",
     "SMPL_JOINT_NAMES",
     "SCAN_ORDERS",
     "KinematicTree",
     "reorder_joint_features",
     "inverse_reorder_joint_features",
     "forward_kinematics",
+    "frame_blocks",
+    "sixd_blocks",
     "default_tree",
 ]
 
@@ -41,6 +46,9 @@ POSE_WIDTH = NUM_JOINTS * 6
 TRACKED_JOINTS = (15, 20, 21)
 # per tracked part: position (3), 6D rotation (6), velocity (3); 36 in all
 RIG_CHANNELS = len(TRACKED_JOINTS) * 12
+# the most frames that synthesis, rig derivation and metrics hold at once:
+# their per-frame temporaries scale with this, not with the sequence length
+FRAME_BLOCK = 1024
 
 SMPL_JOINT_NAMES = (
     "pelvis", "left_hip", "right_hip", "spine1", "left_knee", "right_knee",
@@ -180,8 +188,6 @@ def forward_kinematics(pose: np.ndarray, tree: KinematicTree,
     global_rot[j] = global_rot[parent[j]] @ local_rot[j] and
     position[j] = position[parent[j]] + global_rot[parent[j]] @ offset[j].
     """
-    from .rotations import sixd_to_matrix
-
     pose = np.asarray(pose, dtype=np.float64)
     n = len(tree.parent)
     if pose.shape[-2:] == (n, 6):
@@ -214,6 +220,25 @@ def forward_kinematics(pose: np.ndarray, tree: KinematicTree,
     if return_rotations:
         return position, global_rot
     return position
+
+
+def frame_blocks(frames: int) -> list:
+    """Consecutive slices of at most FRAME_BLOCK frames covering frames
+    0..frames-1 in order."""
+    step = FRAME_BLOCK
+    return [slice(start, min(start + step, frames)) for start in range(0, frames, step)]
+
+
+def sixd_blocks(r: np.ndarray):
+    """(slice, rotation matrices) per frame block of (L, ..., 6) values,
+    Gram-Schmidted in float64 one block at a time. A DegenerateRotationError
+    carries the absolute frame: the block start is added to its index."""
+    for sl in frame_blocks(len(r)):
+        try:
+            yield sl, sixd_to_matrix(r[sl])
+        except DegenerateRotationError as exc:
+            exc.index = (exc.index[0] + sl.start,) + exc.index[1:]
+            raise
 
 
 def default_tree() -> KinematicTree:

@@ -45,16 +45,21 @@ _BETA = 0.02
 _DELTA = 1.0
 
 
-def _check_pair(y, z, batched=False):
-    """y and z as float64 (L, J, 6) pose sequences; with ``batched``, y may
-    carry leading axes in front of z's shape."""
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
+def _pair_shapes(y, z, batched=False):
+    """y and z as arrays of (L, J, 6) pose sequences, in their own dtype;
+    with ``batched``, y may carry leading axes in front of z's shape."""
+    y, z = np.asarray(y), np.asarray(z)
     if y.shape[max(y.ndim - 3, 0):] != z.shape or (y.ndim > 3 and not batched):
         raise ValueError(f"shape mismatch: {y.shape} vs {z.shape}")
     if z.ndim != 3 or z.shape[-1] != 6:
         raise ValueError(f"expected (L, J, 6) pose sequences, got {z.shape}")
     return y, z
+
+
+def _check_pair(y, z, batched=False):
+    """``_pair_shapes`` with y and z as float64."""
+    y, z = _pair_shapes(y, z, batched)
+    return y.astype(np.float64, copy=False), z.astype(np.float64, copy=False)
 
 
 def _scalar(loss):

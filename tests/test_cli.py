@@ -5,6 +5,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,35 @@ class TestEval:
         assert values["frames"] == "8"
         assert report.read_text() == out
 
+    @pytest.mark.parametrize("rate", ["60", "59.94005994005994"])
+    def test_report_prints_the_rate_of_the_files(self, tmp_path, capsys, rate):
+        pose = tmp_path / "pose.txt"
+        main(["gen-synthetic", "--kind", "pose", "--frames", "6", "--fps", rate,
+              "--out", str(pose)])
+        assert f"\n#fps {rate}\n" in pose.read_text()
+        capsys.readouterr()
+        assert main(["eval", str(pose), str(pose)]) == 0
+        assert capsys.readouterr().out.endswith(f"\nfps: {rate}\n")
+
+    def test_non_finite_jitter_refused_naming_both_files(self, tmp_path, capsys):
+        # at 5e102 fps, fps^3 is finite, but root translations that swing
+        # by 3e38 each frame take jitter past the largest float64
+        pred, gt = tmp_path / "pred.txt", tmp_path / "gt.txt"
+        root = np.zeros((6, 3), dtype=np.float32)
+        root[::2, 0] = 3e38
+        data = np.concatenate([gen_synthetic(0, 6, "pose").data, root], axis=1)
+        for path in (pred, gt):
+            save_sequence(path, Sequence(kind="pose", data=data, fps=5e102))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", str(pred), str(gt)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"kinescan: error: evaluating {pred} against {gt}: jitter_pred: "
+            "jitter is inf at 5e+102 fps, not a finite float64"
+        ]
+
     def test_short_sequence_reports_na_jitter(self, tmp_path, capsys):
         pose = tmp_path / "pose.txt"
         main(["gen-synthetic", "--kind", "pose", "--frames", "3",
@@ -254,6 +284,23 @@ class TestEval:
         assert main(["eval", *files]) == 1
         err = capsys.readouterr().err
         assert f"{bad}: frame 4, joint 13: first 6D vector has near-zero norm" in err
+
+    @pytest.mark.parametrize("which", ["pred", "gt"])
+    def test_degenerate_6d_in_a_later_block_names_the_absolute_frame(
+            self, tmp_path, capsys, which):
+        frame = kinematics_mod.FRAME_BLOCK + 5
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        main(["gen-synthetic", "--kind", "pose", "--frames", str(frame + 5),
+              "--out", str(good)])
+        seq = load_sequence(good, "pose")
+        data = seq.data.copy()
+        data[frame, 6 * 13:6 * 13 + 3] = 0.0
+        save_sequence(bad, Sequence(kind="pose", data=data, fps=seq.fps))
+        files = [str(bad), str(good)] if which == "pred" else [str(good), str(bad)]
+        capsys.readouterr()
+        assert main(["eval", *files]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: frame {frame}, joint 13: first 6D vector has near-zero norm" in err
 
 
 class TestVerify:

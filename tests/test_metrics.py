@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,15 @@ class TestJitter:
         with pytest.raises(ValueError):
             jitter(rng.standard_normal((3, 4, 3)), fps=60.0)
 
+    def test_overflow_raises_without_a_warning(self):
+        # a third difference of 2.4e39 times fps^3 = 1.25e308 is not a float64
+        positions = np.zeros((6, 1, 3))
+        positions[::2, 0, 0] = 3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"jitter is inf at 5e\+102 fps"):
+                jitter(positions, fps=5e102)
+
 
 class TestMetrics:
     def test_identity_report_is_zero(self, tree, rng):
@@ -126,6 +137,13 @@ class TestMetrics:
             + 11 * report.upper_pe_cm + 8 * report.lower_pe_cm
         ) / 22.0
         assert recombined == pytest.approx(report.mpjpe_cm, abs=1e-9)
+
+    def test_non_finite_jitter_names_its_field(self, tree):
+        y = identity_pose(6)
+        roots = np.zeros((6, 3))
+        roots[::2, 0] = 3e38
+        with pytest.raises(ValueError, match="^jitter_gt: jitter is inf"):
+            metrics(y, y, tree, fps=5e102, root_z=roots)
 
     def test_jitter_matches_fk_positions(self, tree, rng):
         y = smooth_pose(rng, 8)
