@@ -14,6 +14,7 @@ from .kinematics import SCAN_ORDERS, default_tree, sixd_blocks
 from .metrics import check_fps, metrics
 from .model import (
     MICRO_CONFIG_KWARGS,
+    SEED_LIMIT,
     ModelConfig,
     check_weights,
     infer_windowed,
@@ -66,6 +67,11 @@ def cmd_infer(args) -> int:
     return 0
 
 
+def _degenerate_in(path, exc):
+    """``exc`` from ``path``'s poses as a ValueError naming file, frame and joint."""
+    return ValueError(f"{path}: frame {exc.index[0]}, joint {exc.index[1]}: {exc}")
+
+
 def cmd_eval(args) -> int:
     pred_seq = kio.load_sequence(args.pred, "pose")
     gt_seq = kio.load_sequence(args.gt, "pose")
@@ -91,8 +97,7 @@ def cmd_eval(args) -> int:
                 for _ in sixd_blocks(pose):
                     pass
             except DegenerateRotationError as exc:
-                frame, joint = exc.index
-                raise ValueError(f"{path}: frame {frame}, joint {joint}: {exc}") from None
+                raise _degenerate_in(path, exc) from None
         raise
     except ValueError as exc:
         raise ValueError(f"evaluating {args.pred} against {args.gt}: {exc}") from None
@@ -132,7 +137,10 @@ def cmd_train_micro(args) -> int:
     else:
         seq = gen_synthetic(args.seed, config.seq_len, "pose")
     z, _ = kio.pose_from_sequence(seq)
-    x = sparse_from_pose(z, default_tree(), fps=seq.fps)
+    try:
+        x = sparse_from_pose(z, default_tree(), fps=seq.fps)
+    except DegenerateRotationError as exc:  # only a --data pose can be degenerate
+        raise _degenerate_in(args.data, exc) from None
 
     try:
         result = train_micro(config, x, z, iters=args.iters, seed=args.seed)
@@ -165,9 +173,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _int_at_least(low):
-    """argparse type: an int of at least ``low``. argparse reports a refused
-    value as an error naming the flag (exit 1)."""
+def _int_at_least(low, below=None):
+    """argparse type: an int of at least ``low`` (and below ``below``). argparse
+    reports a refused value as an error naming the flag (exit 1)."""
     def parse(text):
         try:
             value = int(text)
@@ -175,6 +183,8 @@ def _int_at_least(low):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
     return parse
 
@@ -189,14 +199,18 @@ def _fps(text):
 
 
 def _seq_lengths(text):
-    """argparse type for --t-list: comma-separated lengths of at least 1."""
+    """argparse type for --t-list: two or more distinct comma-separated lengths >= 1."""
     length = _int_at_least(1)
-    return tuple(length(t) for t in text.split(","))
+    lengths = tuple(length(t) for t in text.split(","))
+    if len(set(lengths)) < 2:
+        raise argparse.ArgumentTypeError(f"needs two distinct lengths, got {text!r}")
+    return lengths
 
 
 def _build_parser():
     parser = _Parser(prog="kinescan", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    seed = _int_at_least(0, SEED_LIMIT)  # every --seed: the seeds ModelConfig takes
 
     p = sub.add_parser("orders", help="print the three joint scan orders")
     p.set_defaults(fn=cmd_orders)
@@ -204,7 +218,7 @@ def _build_parser():
     p = sub.add_parser("gen-synthetic", help="write a smooth synthetic sequence")
     p.add_argument("--kind", choices=("sparse_input", "pose"), default="sparse_input")
     p.add_argument("--frames", type=_int_at_least(1), default=96)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--fps", type=_fps, default=60.0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_synthetic)
@@ -223,14 +237,14 @@ def _build_parser():
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run the cross-module property suite")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("train-micro", help="derivative-free training at micro scale")
     p.add_argument("--config", default=None)
     p.add_argument("--data", default=None)
     p.add_argument("--iters", type=_int_at_least(0), default=500)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--trace", default=None)
     p.set_defaults(fn=cmd_train_micro)

@@ -183,20 +183,12 @@ def _header_field(path, header, key, conv):
         ) from None
 
 
-def sequence_from_pose(pose: np.ndarray, root: np.ndarray = None,
-                       fps: float = 60.0) -> Sequence:
-    """Pack (L, 22, 6) rotations (and optional (L, 3) root translation)
-    into a pose-kind sequence."""
+def sequence_from_pose(pose: np.ndarray, fps: float = 60.0) -> Sequence:
+    """Pack (L, 22, 6) rotations into a 132-column pose-kind sequence."""
     pose = np.asarray(pose, dtype=np.float32)
     if pose.ndim != 3 or pose.shape[1:] != (NUM_JOINTS, 6):
         raise ValueError(f"expected (L, {NUM_JOINTS}, 6) pose, got {pose.shape}")
-    flat = pose.reshape(pose.shape[0], POSE_WIDTH)
-    if root is not None:
-        root = np.asarray(root, dtype=np.float32)
-        if root.shape != (pose.shape[0], 3):
-            raise ValueError(f"root translation must be (L, 3), got {root.shape}")
-        flat = np.concatenate([flat, root], axis=1)
-    return Sequence(kind="pose", data=flat, fps=fps)
+    return Sequence(kind="pose", data=pose.reshape(pose.shape[0], POSE_WIDTH), fps=fps)
 
 
 def pose_from_sequence(seq: Sequence):
@@ -212,11 +204,8 @@ def pose_from_sequence(seq: Sequence):
 # run config
 
 
-# key -> converter, one per ModelConfig field
-_CONFIG_KEYS = {}
-for _f in fields(ModelConfig):
-    _tname = _f.type if isinstance(_f.type, str) else _f.type.__name__
-    _CONFIG_KEYS[_f.name] = {"int": int, "str": str}[_tname]
+# key -> converter, one per ModelConfig field: its type, int or str
+_CONFIG_KEYS = {f.name: f.type for f in fields(ModelConfig)}
 
 
 def load_run_config(path) -> ModelConfig:

@@ -176,8 +176,8 @@ def forward_kinematics(pose: np.ndarray, tree: KinematicTree,
 
     Parameters
     ----------
-    pose : (..., J, 6) or (..., J, 3, 3)
-        Local rotations, 6D or matrix form. Leading axes are batched.
+    pose : (..., J, 3, 3)
+        Local rotation matrices. Leading axes are batched.
     tree : KinematicTree
     root_position : (..., 3), optional
         Defaults to the origin.
@@ -188,28 +188,14 @@ def forward_kinematics(pose: np.ndarray, tree: KinematicTree,
     global_rot[j] = global_rot[parent[j]] @ local_rot[j] and
     position[j] = position[parent[j]] + global_rot[parent[j]] @ offset[j].
     """
-    pose = np.asarray(pose, dtype=np.float64)
+    local = np.asarray(pose, dtype=np.float64)
     n = len(tree.parent)
-    if pose.shape[-2:] == (n, 6):
-        local = sixd_to_matrix(pose)
-    elif pose.shape[-3:] == (n, 3, 3):
-        local = pose
-    else:
-        raise ValueError(
-            f"pose must be (..., {n}, 6) or (..., {n}, 3, 3), got shape {pose.shape}"
-        )
-    batch = local.shape[:-3]
-    if root_position is None:
-        root_position = np.zeros(batch + (3,))
-    else:
-        root_position = np.broadcast_to(
-            np.asarray(root_position, dtype=np.float64), batch + (3,)
-        )
-
+    if local.shape[-3:] != (n, 3, 3):
+        raise ValueError(f"pose must be (..., {n}, 3, 3), got shape {local.shape}")
     global_rot = np.empty_like(local)
-    position = np.empty(batch + (n, 3))
+    position = np.empty(local.shape[:-3] + (n, 3))
     global_rot[..., 0, :, :] = local[..., 0, :, :]
-    position[..., 0, :] = root_position
+    position[..., 0, :] = 0.0 if root_position is None else root_position
     # parents come before children, so index order reaches each parent first
     for j in range(1, n):
         p = tree.parent[j]

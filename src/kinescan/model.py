@@ -37,6 +37,7 @@ from .ssd import SsdParams, chunked_scan
 __all__ = [
     "ModelConfig",
     "MICRO_CONFIG_KWARGS",
+    "SEED_LIMIT",
     "init_weights",
     "check_weights",
     "parameter_count",
@@ -54,6 +55,8 @@ __all__ = [
 _LN_EPS = 1e-5
 # softplus^-1(-log 0.9): raw-decay bias giving a ~= 0.9 at zero input
 _DECAY_BIAS = float(np.log(np.expm1(-np.log(0.9))))
+# every seed, a config's or a command's, is a PCG64 seed below this
+SEED_LIMIT = 2 ** 64
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ class ModelConfig:
         if self.scan_strategy not in SCAN_ORDERS:
             raise ValueError(f"scan_strategy must be one of {tuple(SCAN_ORDERS)}")
         # PCG64 refuses a negative seed, but only later, in init_weights
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= int(self.seed) < SEED_LIMIT:
             raise ValueError(f"seed must be in 0..2**64-1, got {self.seed}")
 
     @property

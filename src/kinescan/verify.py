@@ -158,12 +158,12 @@ def check_fk_oracle(seed=0, poses=100):
     tree = kinematics.default_tree()
     worst = 0.0
     for _ in range(poses):
-        pose6 = rotations.matrix_to_sixd(
+        mats = rotations.sixd_to_matrix(rotations.matrix_to_sixd(
             rotations.exp_map(rng.uniform(-np.pi, np.pi, size=(NUM_JOINTS, 3)) * 0.9)
-        )
+        ))
         root = rng.standard_normal(3)
-        pos = kinematics.forward_kinematics(pose6, tree, root_position=root)
-        oracle = _fk_oracle(rotations.sixd_to_matrix(pose6), tree, root)
+        pos = kinematics.forward_kinematics(mats, tree, root_position=root)
+        oracle = _fk_oracle(mats, tree, root)
         worst = max(worst, np.abs(pos - oracle).max())
         if worst > 1e-9:
             return False, f"FK differs from homogeneous oracle by {worst:.3g}"
@@ -173,7 +173,6 @@ def check_fk_oracle(seed=0, poses=100):
                 return False, f"bone length not preserved at joint {j}"
         # rotating the root rotates all positions about root_position
         q = rotations.exp_map(rng.standard_normal(3))
-        mats = rotations.sixd_to_matrix(pose6)
         mats[0] = q @ mats[0]
         rotated = kinematics.forward_kinematics(mats, tree, root_position=root)
         expected = (pos - root) @ q.T + root

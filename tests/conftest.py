@@ -1,8 +1,29 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from kinescan.kinematics import default_tree
 from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig
+
+
+def pytest_report_header(config):
+    """The OpenBLAS build and kernel set numpy loaded, so that a golden-digest
+    failure can be read against the kernels that produced it."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the library numpy already loaded
+            get_config = lib.scipy_openblas_get_config64_
+            get_corename = lib.scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        get_config.restype = get_corename.restype = ctypes.c_char_p
+        return (f"openblas: {get_config().decode().strip()}; "
+                f"kernels: {get_corename().decode()}")
+    return "openblas: unknown"
 
 
 def make_rng(seed):

@@ -342,6 +342,16 @@ class TestTrainMicro:
         assert main(["train-micro", "--iters", "5", "--data", str(data)]) == 1
         assert "frames" in capsys.readouterr().err
 
+    def test_degenerate_6d_in_data_names_file_frame_and_joint(self, tmp_path, capsys):
+        seq = gen_synthetic(seed=3, frames=24, kind="pose")
+        data = seq.data.copy()
+        data[4, 6 * 13:6 * 13 + 3] = 0.0  # frame 4, joint 13: first column zero
+        bad = tmp_path / "bad.txt"
+        save_sequence(bad, Sequence(kind="pose", data=data, fps=seq.fps))
+        assert main(["train-micro", "--iters", "1", "--data", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: frame 4, joint 13: first 6D vector has near-zero norm" in err
+
     def test_config_over_parameter_cap_names_file(self, tmp_path, capsys):
         cfg = tmp_path / "big.cfg"
         cfg.write_text("seq_len=24\n")  # full-scale widths
@@ -396,17 +406,30 @@ class TestArgErrors:
         (["verify", "--seed", "-1"], "--seed"),
         (["train-micro", "--seed", "-1"], "--seed"),
         (["bench", "--seed", "-1"], "--seed"),
+        (["bench", "--t-list", "64"], "--t-list"),
+        (["bench", "--t-list", "64,64"], "--t-list"),
+        (["gen-synthetic", "--seed", str(2 ** 64), "--out", "o.txt"], "--seed"),
+        (["verify", "--seed", str(2 ** 64)], "--seed"),
+        (["train-micro", "--seed", str(2 ** 64)], "--seed"),
     ], ids=["iters-negative", "trials-zero", "t-list-not-int", "t-list-zero",
             "frames-zero", "fps-zero", "eval-fps-zero", "eval-fps-nan",
             "fps-inf", "eval-fps-inf", "infer-chunk-removed", "eval-skeleton-removed",
             "train-micro-skeleton-removed", "bench-chunk-zero",
             "gen-synthetic-seed-negative", "verify-seed-negative",
-            "train-micro-seed-negative", "bench-seed-negative"])
+            "train-micro-seed-negative", "bench-seed-negative", "t-list-single",
+            "t-list-repeated", "gen-synthetic-seed-2**64", "verify-seed-2**64",
+            "train-micro-seed-2**64"])
     def test_refused_flag_is_named(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["gen-synthetic", "--out", "o.txt"],
+                                         ["verify"], ["train-micro"]])
+    def test_largest_seed_accepted(self, command):
+        args = _build_parser().parse_args([*command, "--seed", str(2 ** 64 - 1)])
+        assert args.seed == 2 ** 64 - 1
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
     def test_fps_flag_must_be_finite_positive(self, capsys, value):

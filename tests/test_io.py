@@ -287,7 +287,8 @@ class TestPosePacking:
     def test_round_trip_with_root(self, rng):
         pose = rng.standard_normal((6, 22, 6)).astype(np.float32)
         root = rng.standard_normal((6, 3)).astype(np.float32)
-        got, got_root = pose_from_sequence(sequence_from_pose(pose, root=root))
+        data = np.concatenate([pose.reshape(6, 132), root], axis=1)
+        got, got_root = pose_from_sequence(Sequence(kind="pose", data=data))
         assert np.array_equal(got, pose)
         assert np.array_equal(got_root, root)
 

@@ -273,12 +273,9 @@ class TestForwardKinematics:
             np.testing.assert_allclose(pos, fk_homogeneous(local, tree, root),
                                        atol=1e-9)
 
-    def test_sixd_input_matches_matrix_input(self, tree, rng):
-        from kinescan.rotations import matrix_to_sixd
-        local = exp_map(rng.uniform(-1, 1, size=(4, 22, 3)))
-        np.testing.assert_allclose(
-            forward_kinematics(matrix_to_sixd(local), tree),
-            forward_kinematics(local, tree), atol=1e-12)
+    def test_sixd_pose_refused_naming_matrix_form(self, tree):
+        with pytest.raises(ValueError, match=r"pose must be \(\.\.\., 22, 3, 3\)"):
+            forward_kinematics(np.tile([1.0, 0, 0, 0, 1, 0], (22, 1)), tree)
 
     def test_bone_lengths_preserved(self, tree, rng):
         local = exp_map(rng.uniform(-1, 1, size=(22, 3)))

@@ -13,7 +13,7 @@ from kinescan.metrics import (
     jitter,
     metrics,
 )
-from kinescan.rotations import exp_map, matrix_to_sixd
+from kinescan.rotations import exp_map, matrix_to_sixd, sixd_to_matrix
 
 from conftest import make_rng
 
@@ -150,9 +150,9 @@ class TestMetrics:
         z = smooth_pose(rng, 8)
         report = metrics(y, z, tree, fps=30.0)
         assert report.jitter_pred == pytest.approx(
-            jitter(forward_kinematics(y, tree), 30.0))
+            jitter(forward_kinematics(sixd_to_matrix(y), tree), 30.0))
         assert report.jitter_gt == pytest.approx(
-            jitter(forward_kinematics(z, tree), 30.0))
+            jitter(forward_kinematics(sixd_to_matrix(z), tree), 30.0))
 
     def test_short_sequence_has_no_jitter(self, tree, rng):
         y = smooth_pose(rng, 3)

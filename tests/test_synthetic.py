@@ -61,7 +61,7 @@ class TestSparseFromPose:
         got = sparse_from_pose(pose, tree, fps=fps)
         assert got.shape == (7, 36) and got.dtype == np.float32
 
-        positions, rotations = forward_kinematics(pose, tree,
+        positions, rotations = forward_kinematics(sixd_to_matrix(pose), tree,
                                                   return_rotations=True)
         for slot, j in enumerate(TRACKED_JOINTS):
             block = got[:, 12 * slot:12 * (slot + 1)].astype(np.float64)
