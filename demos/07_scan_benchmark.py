@@ -10,7 +10,7 @@ two provably identical operators.
 
 from kinescan.bench import format_bench_table, run_benchmark
 
-result = run_benchmark(t_list=(256, 512, 1024, 2048, 4096), trials=3)
+result = run_benchmark()
 print(format_bench_table(result), end="")
 
 last = result.rows[-1]

@@ -61,7 +61,10 @@ def cmd_infer(args) -> int:
     else:
         weights = kio.load_checkpoint(args.weights)
         check_weights(config, weights, args.weights)
-    pose = infer_windowed(seq.data, config, weights)
+    try:
+        pose = infer_windowed(seq.data, config, weights)
+    except FloatingPointError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     kio.save_sequence(args.out, kio.sequence_from_pose(pose, fps=seq.fps))
     print(f"inferred {pose.shape[0]} frames -> {args.out}")
     return 0
@@ -168,8 +171,7 @@ def cmd_train_micro(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import format_bench_table, run_benchmark
 
-    result = run_benchmark(t_list=args.t_list, trials=args.trials)
-    print(format_bench_table(result), end="")
+    print(format_bench_table(run_benchmark()), end="")
     return 0
 
 
@@ -196,15 +198,6 @@ def _fps(text):
         return check_fps(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _seq_lengths(text):
-    """argparse type for --t-list: two or more distinct comma-separated lengths >= 1."""
-    length = _int_at_least(1)
-    lengths = tuple(length(t) for t in text.split(","))
-    if len(set(lengths)) < 2:
-        raise argparse.ArgumentTypeError(f"needs two distinct lengths, got {text!r}")
-    return lengths
 
 
 def _build_parser():
@@ -250,8 +243,6 @@ def _build_parser():
     p.set_defaults(fn=cmd_train_micro)
 
     p = sub.add_parser("bench", help="time the quadratic vs chunked realizations")
-    p.add_argument("--t-list", type=_seq_lengths, default="256,512,1024,2048,4096")
-    p.add_argument("--trials", type=_int_at_least(1), default=3)
     p.set_defaults(fn=cmd_bench)
     return parser
 

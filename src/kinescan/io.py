@@ -8,7 +8,7 @@ Sequences are written row by row and checkpoints read tensor by tensor,
 straight between the file and the arrays, so neither holds a copy of the
 file. A sequence body is parsed in one ``np.loadtxt`` call, as float64
 then cast to float32 (the bits a per-value ``float`` parse gives); its
-values must be ASCII decimal numbers.
+values and the header's numbers must be ASCII decimal numbers.
 """
 
 import math
@@ -152,10 +152,17 @@ def load_sequence(path, kind: str) -> Sequence:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _decimal(text, conv):
+    """``conv(text)`` if ``text`` is an ASCII decimal number as ``np.loadtxt``
+    reads rows: no ``_`` separators or non-ASCII digits, which ``conv`` takes."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to {conv.__name__}: {text!r}")
+    return conv(text)
+
+
 def _bad_body(path, body, columns):
     """The error naming the first body line that is not ``columns`` ASCII
-    decimal numbers, as ``np.loadtxt`` reads them: ``float`` syntax without
-    ``_`` separators or non-ASCII digits. None if every line is."""
+    decimal numbers. None if every line is."""
     for i, (n, line) in enumerate(body):
         parts = line.split()
         if len(parts) != columns:
@@ -164,9 +171,7 @@ def _bad_body(path, body, columns):
             )
         for part in parts:
             try:
-                if not part.isascii() or "_" in part:
-                    raise ValueError(f"could not convert string to float: {part!r}")
-                float(part)
+                _decimal(part, float)
             except ValueError as exc:
                 return ValueError(f"{path}:{n}: frame {i}: {exc}")
     return None
@@ -176,7 +181,7 @@ def _header_field(path, header, key, conv):
     if key not in header:
         raise ValueError(f"{path}: missing header field {key!r}")
     try:
-        return conv(header[key])
+        return header[key] if conv is str else _decimal(header[key], conv)
     except ValueError:
         raise ValueError(
             f"{path}: header field {key!r} is not a valid {conv.__name__}: {header[key]!r}"

@@ -434,18 +434,23 @@ def infer_windowed(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndar
     The input splits into non-overlapping windows of config.seq_len frames;
     a final partial window is left-padded by repeating its first frame, and
     only its last r predictions are kept, so exactly T frames come out.
+    Non-finite values raise FloatingPointError naming the window's frames.
     """
     x = np.asarray(x)
     if x.shape[0] < 1:
         raise ValueError("a sequence needs at least one frame")
     length = config.seq_len
     outputs = []
-    for start in range(0, x.shape[0], length):
-        window = x[start : start + length]
-        r = window.shape[0]
-        # both steps are identities on a full window (r == length)
-        window = np.pad(window, ((length - r, 0), (0, 0)), mode="edge")
-        outputs.append(kinest_forward(window, config, weights)[-r:])
+    with np.errstate(all="ignore"):  # non-finite values raise below instead
+        for start in range(0, x.shape[0], length):
+            window = x[start : start + length]
+            r = window.shape[0]
+            # both steps are identities on a full window (r == length)
+            window = np.pad(window, ((length - r, 0), (0, 0)), mode="edge")
+            try:
+                outputs.append(kinest_forward(window, config, weights)[-r:])
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"frames {start}-{start + r - 1}: {exc}") from None
     return np.concatenate(outputs, axis=0)
 
 
@@ -467,15 +472,25 @@ def kinest_forward(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndar
     """Full forward pass: (L, 36) tracking signal -> (L, 22, 6) rotations,
     with any leading batch axes of the input or the weights in front.
 
-    A non-finite output raises FloatingPointError naming the first layer
-    whose output is not finite, found by running the layers again.
+    A forward that meets non-finite values raises FloatingPointError naming
+    the first layer where they appear, found by running the layers again.
     """
-    for _, y in _layer_outputs(x, config, weights):
+    try:
+        for _, y in _layer_outputs(x, config, weights):
+            pass
+        if np.all(np.isfinite(y)):
+            return y.reshape(y.shape[:-1] + (NUM_JOINTS, 6))
+    except ValueError:  # the SSD refuses the NaN decays of an overflowed layer
         pass
-    if not np.all(np.isfinite(y)):
-        first = next(name for name, out in _layer_outputs(x, config, weights)
-                     if not np.all(np.isfinite(out)))
-        raise FloatingPointError(
-            f"non-finite values in network output, first in layer {first!r}"
-        )
-    return y.reshape(y.shape[:-1] + (NUM_JOINTS, 6))
+    # rerun, numpy raising at the first overflow or NaN; finite layers drop their names
+    names = ["embed", *(f"tfm{i}." for i in range(config.n_tfm)),
+             *(f"skfm{i}." for i in range(config.m_skfm)), "regressor"]
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for _, out in _layer_outputs(x, config, weights):
+                if not np.all(np.isfinite(out)):
+                    break
+                del names[0]
+        except FloatingPointError:
+            pass
+    raise FloatingPointError(f"non-finite values, first in layer {names[0]!r}")

@@ -44,11 +44,11 @@ def _rel_err(a, b):
     return np.abs(a - b).max() / scale
 
 
-def check_ssd_duality(seed=0, instances=200):
+def check_ssd_duality(seed=0):
     """Recurrence, semiseparable matrix, and chunked scan agree to 1e-5."""
     rng = np.random.Generator(np.random.PCG64(seed))
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(200):
         t = int(rng.integers(1, 129))
         n = int(rng.integers(1, 9))
         p = int(rng.integers(1, 5))
@@ -65,12 +65,13 @@ def check_ssd_duality(seed=0, instances=200):
             worst = max(worst, _rel_err(ssd.chunked_scan(params, chunk=chunk), y_rec))
         if worst > 1e-5:
             return False, f"relative error {worst:.3g} exceeds 1e-5"
-    return True, f"{instances} instances, worst relative error {worst:.3g}"
+    return True, f"200 instances, worst relative error {worst:.3g}"
 
 
-def check_causality(seed=0, sequences=50, frames=32, width=12):
+def check_causality(seed=0):
     """Future-input truncation leaves past forward outputs bit-identical,
     and past-input truncation leaves future backward outputs bit-identical."""
+    sequences, frames, width = 50, 32, 12
     rng = np.random.Generator(np.random.PCG64(seed))
     config = model.ModelConfig(
         n_tfm=1, m_skfm=0, embed_dim=width, joint_dim=4, seq_len=frames,
@@ -94,9 +95,10 @@ def check_causality(seed=0, sequences=50, frames=32, width=12):
     return True, f"{sequences} sequences bit-identical on both branches"
 
 
-def check_rotation_roundtrip(seed=0, count=10000):
+def check_rotation_roundtrip(seed=0):
     """exp(log(R)) = R within 1e-7 Frobenius, including near-singular angles;
     Gram-Schmidt outputs orthonormal within 1e-9."""
+    count = 10000
     rng = np.random.Generator(np.random.PCG64(seed))
     axes = rng.standard_normal((count, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
@@ -116,9 +118,7 @@ def check_rotation_roundtrip(seed=0, count=10000):
     det = np.abs(np.linalg.det(mats) - 1.0).max()
     if ortho > 1e-9 or det > 1e-9:
         return False, f"Gram-Schmidt orthonormality error {max(ortho, det):.3g}"
-    return True, (
-        f"{count} round-trips, worst {worst:.3g}; orthonormality {ortho:.3g}"
-    )
+    return True, f"{count} round-trips, worst {worst:.3g}; orthonormality {ortho:.3g}"
 
 
 def check_scan_orders():
@@ -151,13 +151,13 @@ def _fk_oracle(pose_mats, tree, root_position):
     return np.stack([m[:3, 3] for m in mats])
 
 
-def check_fk_oracle(seed=0, poses=100):
+def check_fk_oracle(seed=0):
     """Library FK vs homogeneous chains (1e-9), bone lengths, and rigid
     invariance under a global root rotation."""
     rng = np.random.Generator(np.random.PCG64(seed))
     tree = kinematics.default_tree()
     worst = 0.0
-    for _ in range(poses):
+    for _ in range(100):
         mats = rotations.sixd_to_matrix(rotations.matrix_to_sixd(
             rotations.exp_map(rng.uniform(-np.pi, np.pi, size=(NUM_JOINTS, 3)) * 0.9)
         ))
@@ -178,16 +178,17 @@ def check_fk_oracle(seed=0, poses=100):
         expected = (pos - root) @ q.T + root
         if np.abs(rotated - expected).max() > 1e-9:
             return False, "rigid invariance violated"
-    return True, f"{poses} poses, worst oracle deviation {worst:.3g}"
+    return True, f"100 poses, worst oracle deviation {worst:.3g}"
 
 
-def _fd_gradient(y, z, h=1e-5):
-    """Central differences of total_loss: row i of ``steps`` moves entry i
-    of y by h, and each side is one call over the batch of all rows."""
+def _fd_gradient(y, z):
+    """Central differences of total_loss at h = 1e-5, and ``kink_mask`` at that
+    h: row i of ``steps`` moves entry i of y by h; each side is one batched call."""
+    h = 1e-5
     steps = h * np.eye(y.size).reshape((y.size,) + y.shape)
     lp = losses.total_loss(y + steps, z)
     lm = losses.total_loss(y - steps, z)
-    return ((lp - lm) / (2.0 * h)).reshape(y.shape)
+    return ((lp - lm) / (2.0 * h)).reshape(y.shape), kink_mask(y, z, h)
 
 
 def kink_mask(y, z, h):
@@ -206,10 +207,11 @@ def kink_mask(y, z, h):
     return clear & ~near_frame[..., None]
 
 
-def _grad_pairs(seed, trials, frames, joints):
-    """``trials`` smooth (prediction, target) pairs, then a still and a
-    near-still (3e-6 rad/frame) prediction, whose frame-to-frame angles take
-    the log map's small-angle branch."""
+def _grad_pairs(seed):
+    """20 smooth (prediction, target) pairs of 5 frames x 4 joints, then a
+    still and a near-still (3e-6 rad/frame) prediction, whose frame-to-frame
+    angles take the log map's small-angle branch."""
+    trials, frames, joints = 20, 5, 4
     for trial in range(trials):
         yield (synthetic_pose(seed + 2 * trial, frames)[:, :joints],
                synthetic_pose(seed + 2 * trial + 1, frames)[:, :joints])
@@ -224,17 +226,16 @@ def _grad_pairs(seed, trials, frames, joints):
     yield rotations.matrix_to_sixd(rotations.exp_map(steps)), z
 
 
-def check_grad(seed=0, trials=3, frames=5, joints=4, h=1e-5):
+def check_grad(seed=0):
     """Analytic gradient vs central finite differences on smooth inputs and
     on a still and a near-still prediction."""
     worst_clear = 0.0
     fracs = []
-    for y, z in _grad_pairs(seed, trials, frames, joints):
+    for y, z in _grad_pairs(seed):
         g = losses.grad_total_loss(y, z)
-        fd = _fd_gradient(y, z, h=h)
+        fd, clear = _fd_gradient(y, z)
         rel = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-10)
         fracs.append(float((rel <= 1e-4).mean()))
-        clear = kink_mask(y, z, h)
         if clear.any():
             worst_clear = max(worst_clear, float(rel[clear].max()))
     frac_ok = float(np.mean(fracs))
@@ -243,14 +244,14 @@ def check_grad(seed=0, trials=3, frames=5, joints=4, h=1e-5):
     if worst_clear > 1e-2:
         return False, f"worst kink-free relative error {worst_clear:.3g} exceeds 1e-2"
     return True, (
-        f"{trials} smooth + still + near-still sequences, {frac_ok:.1%} within "
+        f"20 smooth + still + near-still sequences, {frac_ok:.1%} within "
         f"1e-4, worst kink-free relative error {worst_clear:.3g}"
     )
 
 
-def check_loss_recomposition(seed=0, trials=5):
+def check_loss_recomposition(seed=0):
     """total_loss equals 1*rot + 0.02*ori + 1*angvel_geo to 1e-12."""
-    for trial in range(trials):
+    for trial in range(5):
         y = synthetic_pose(seed + 2 * trial, 8)
         z = synthetic_pose(seed + 2 * trial + 1, 8)
         total = losses.total_loss(y, z)
@@ -261,7 +262,7 @@ def check_loss_recomposition(seed=0, trials=5):
         )
         if abs(total - recomposed) > 1e-12:
             return False, f"recomposition differs by {abs(total - recomposed):.3g}"
-    return True, f"{trials} random pairs recompose within 1e-12"
+    return True, "5 random pairs recompose within 1e-12"
 
 
 def check_metric_fixtures():

@@ -138,6 +138,43 @@ class TestInfer:
         assert code == 1
         assert "sparse_input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("columns, config, layer", [
+        (1, None, "tfm0."),  # the layer norm of tfm0 overflows
+        (36, "n_tfm=0\nm_skfm=0\n", "embed"),
+    ], ids=["first-value-full-scale", "whole-row-embed-only"])
+    def test_overflowing_input_names_file_frames_and_layer(self, tmp_path, capsys,
+                                                           columns, config, layer):
+        # finite values near float32's limit overflow inside the forward;
+        # no numpy warning, one error line
+        inp = tmp_path / "in.txt"
+        seq = gen_synthetic(seed=0, frames=96, kind="sparse_input")
+        data = seq.data.copy()
+        data[10, :columns] = 3e38
+        save_sequence(inp, Sequence(kind="sparse_input", data=data, fps=seq.fps))
+        argv = ["infer", str(inp), "--out", str(tmp_path / "o.txt")]
+        if config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"kinescan: error: {inp}: frames 0-95: non-finite "
+                                f"values, first in layer {layer!r}\n")
+
+    def test_overflow_in_a_later_window_names_its_frames(self, tmp_path, capsys,
+                                                         micro_cfg_path):
+        inp = tmp_path / "in.txt"
+        seq = gen_synthetic(seed=0, frames=60, kind="sparse_input")
+        data = seq.data.copy()
+        data[50] = 3e38  # the partial third window of the 24-frame config
+        save_sequence(inp, Sequence(kind="sparse_input", data=data, fps=seq.fps))
+        assert main(["infer", str(inp), "--config", micro_cfg_path,
+                     "--out", str(tmp_path / "o.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"kinescan: error: {inp}: frames 48-59: non-finite ")
+        assert err.count("\n") == 1
+
     def test_missing_input_file(self, tmp_path, micro_cfg_path, capsys):
         code = main(["infer", str(tmp_path / "absent.txt"),
                      "--config", micro_cfg_path,
@@ -361,10 +398,10 @@ class TestTrainMicro:
 
 
 class TestBench:
-    def test_small_sizes_print_table(self, capsys):
-        assert main(["bench", "--t-list", "64,128", "--trials", "1"]) == 0
+    def test_prints_table(self, capsys):
+        assert main(["bench"]) == 0
         out = capsys.readouterr().out
-        assert "64" in out and "128" in out
+        assert "256" in out and "4096" in out
         assert "speedup" in out.lower() or "chunked" in out.lower()
 
 
@@ -384,9 +421,9 @@ class TestArgErrors:
             main(["gen-synthetic"])  # --out is required
         assert exc.value.code == 1
 
-    # eval --fps, bench --chunk and bench --seed are gone from the CLI; their
-    # rows, and each *-removed row, pass because argparse refuses an
-    # unrecognized flag with exit 1, naming it
+    # eval --fps and bench --chunk, --seed, --trials and --t-list are gone
+    # from the CLI; their rows, and each *-removed row, pass because argparse
+    # refuses an unrecognized flag with exit 1, naming it
     @pytest.mark.parametrize("argv, flag", [
         (["train-micro", "--iters", "-1"], "--iters"),
         (["bench", "--trials", "0"], "--trials"),
@@ -448,6 +485,26 @@ def test_readme_command_lines_parse():
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     assert documented == set(commands)
+
+
+def test_subcommand_argument_table():
+    # every subcommand and the dests of its arguments, as _build_parser
+    # builds them: a new flag or command has to be added here on purpose
+    parser = _build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    table = {name: [a.dest for a in sub._actions if a.dest != "help"]
+             for name, sub in commands.items()}
+    assert table == {
+        "orders": [],
+        "gen-synthetic": ["kind", "frames", "seed", "fps", "out"],
+        "infer": ["input", "config", "weights", "out"],
+        "eval": ["pred", "gt", "out"],
+        "verify": ["seed"],
+        "train-micro": ["config", "data", "iters", "seed", "out", "trace"],
+        "bench": [],
+    }
+    assert sum(map(len, table.values())) == 19
 
 
 def _child_env():

@@ -131,6 +131,25 @@ class TestSequenceFile:
         with pytest.raises(ValueError, match=r"bad\.txt: header field 'frames'.*'abc'"):
             load_sequence(path, "pose")
 
+    @pytest.mark.parametrize("field, text", [
+        ("frames", "9_6"), ("frames", "\uff19\uff16"), ("columns", "3_6"),
+        ("fps", "\uff16\uff10"), ("fps", "6_0"), ("frames", "\u0669\u0666"),
+    ], ids=["frames-underscore", "frames-fullwidth", "columns-underscore",
+            "fps-fullwidth", "fps-underscore", "frames-arabic-indic"])
+    def test_header_numbers_follow_the_row_rule(self, tmp_path, field, text):
+        # int and float take "_" separators and non-ASCII digits; the header
+        # refuses them as the rows do
+        path = tmp_path / "bad.txt"
+        save_sequence(path, Sequence(kind="sparse_input", data=np.zeros((96, 36))))
+        value = {"frames": "96", "columns": "36", "fps": "60"}[field]
+        path.write_text(path.read_text().replace(f"#{field} {value}\n",
+                                                 f"#{field} {text}\n"))
+        with pytest.raises(ValueError) as exc:
+            load_sequence(path, "sparse_input")
+        conv = "float" if field == "fps" else "int"
+        assert str(exc.value) == (
+            f"{path}: header field {field!r} is not a valid {conv}: {text!r}")
+
     @pytest.mark.parametrize("frames, columns", [(1, -5), (0, 36), (0, -5)])
     def test_nonpositive_header_sizes_name_path(self, tmp_path, frames, columns):
         path = tmp_path / "bad.txt"

@@ -493,6 +493,26 @@ class TestKinestForward:
             kinest_forward(rng.standard_normal((24, 36)), config, w)
 
 
+    def test_overflow_that_reaches_the_scan_decays_names_its_layer(self, rng):
+        # the tfm0 layer norm overflows, its decays turn NaN and the scan
+        # refuses them; the error names the layer, not the decays
+        config, w = micro_weights()
+        x = rng.standard_normal((24, 36))
+        x[10, :6] = 3e38
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match=r"first in layer 'tfm0\.'"):
+            kinest_forward(x, config, w)
+
+    def test_shape_errors_are_not_reported_as_non_finite(self, rng):
+        config, w = micro_weights()
+        with pytest.raises(ValueError, match=r"expected input shape \(L, 36\)"):
+            kinest_forward(rng.standard_normal((24, 35)), config, w)
+        w = dict(w)
+        w["skfm0.out.weight"] = w["skfm0.out.weight"][:-1]
+        with pytest.raises(ValueError, match="matmul"):
+            kinest_forward(rng.standard_normal((24, 36)), config, w)
+
+
 def float64_weights(weights):
     return {name: w.astype(np.float64) for name, w in weights.items()}
 

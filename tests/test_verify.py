@@ -1,55 +1,7 @@
 import numpy as np
-import pytest
 
 import kinescan.kinematics as kinematics_mod
-from kinescan.verify import (
-    CHECKS,
-    PropertyResult,
-    check_causality,
-    check_fk_oracle,
-    check_grad,
-    check_loss_recomposition,
-    check_metric_fixtures,
-    check_rotation_roundtrip,
-    check_scan_orders,
-    check_ssd_duality,
-    kink_mask,
-    run_all,
-)
-
-
-class TestIndividualChecks:
-    def test_ssd_duality(self):
-        passed, detail = check_ssd_duality(seed=0, instances=40)
-        assert passed, detail
-
-    def test_causality(self):
-        passed, detail = check_causality(seed=0, sequences=8)
-        assert passed, detail
-
-    def test_rotation_roundtrip(self):
-        passed, detail = check_rotation_roundtrip(seed=0, count=1000)
-        assert passed, detail
-
-    def test_scan_orders(self):
-        passed, detail = check_scan_orders()
-        assert passed, detail
-
-    def test_fk_oracle(self):
-        passed, detail = check_fk_oracle(seed=0, poses=20)
-        assert passed, detail
-
-    def test_grad(self):
-        passed, detail = check_grad(seed=0, trials=2)
-        assert passed, detail
-
-    def test_loss_recomposition(self):
-        passed, detail = check_loss_recomposition(seed=0)
-        assert passed, detail
-
-    def test_metric_fixtures(self):
-        passed, detail = check_metric_fixtures()
-        assert passed, detail
+from kinescan.verify import CHECKS, PropertyResult, check_scan_orders, kink_mask, run_all
 
 
 class TestRunAll:
