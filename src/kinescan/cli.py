@@ -180,7 +180,7 @@ def _int_at_least(low, below=None):
     reports a refused value as an error naming the flag (exit 1)."""
     def parse(text):
         try:
-            value = int(text)
+            value = kio._decimal(text, int)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
@@ -192,10 +192,10 @@ def _int_at_least(low, below=None):
 
 
 def _fps(text):
-    """argparse type: a frame rate, by the rule every fps in the package
-    follows."""
+    """argparse type: a frame rate, an ASCII decimal by the rule every fps in
+    the package follows."""
     try:
-        return check_fps(text)
+        return check_fps(kio._decimal(text, float))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

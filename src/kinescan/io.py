@@ -229,8 +229,9 @@ def load_run_config(path) -> ModelConfig:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in kwargs:
             raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+        conv = _CONFIG_KEYS[key]
         try:
-            kwargs[key] = _CONFIG_KEYS[key](value)
+            kwargs[key] = value if conv is str else _decimal(value, conv)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     try:

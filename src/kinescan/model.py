@@ -107,102 +107,72 @@ MICRO_CONFIG_KWARGS = dict(
 # weights
 
 
+def _lin(name, fan_in, fan_out, bias="zero"):
+    """A linear layer's weights: ``.weight`` drawn uniform in
+    +-1/sqrt(fan_in), then ``.bias``."""
+    return [(name + ".weight", (fan_in, fan_out), fan_in),
+            (name + ".bias", (fan_out,), bias)]
+
+
+def _ln(name, width):
+    """A layer norm's weights: ``.scale`` of ones, then a zero ``.bias``."""
+    return [(name + ".scale", (width,), "one"), (name + ".bias", (width,), "zero")]
+
+
 def _ssd_names(prefix, width, state, conv_width):
     n = width + 2 * state
     return [
-        (prefix + "ln.scale", (width,), "one"),
-        (prefix + "ln.bias", (width,), "zero"),
-        (prefix + "xbc.weight", (width, n), width),
-        (prefix + "xbc.bias", (n,), "zero"),
+        *_ln(prefix + "ln", width),
+        *_lin(prefix + "xbc", width, n),
         (prefix + "conv.kernel", (conv_width, n), conv_width),
         (prefix + "conv.bias", (n,), "zero"),
-        (prefix + "a.weight", (width, 1), width),
-        (prefix + "a.bias", (1,), "decay"),
-        (prefix + "gate.weight", (width, width), width),
-        (prefix + "gate.bias", (width,), "zero"),
-        (prefix + "out_ln.scale", (width,), "one"),
-        (prefix + "out_ln.bias", (width,), "zero"),
-        (prefix + "out.weight", (width, width), width),
-        (prefix + "out.bias", (width,), "zero"),
+        *_lin(prefix + "a", width, 1, bias="decay"),
+        *_lin(prefix + "gate", width, width),
+        *_ln(prefix + "out_ln", width),
+        *_lin(prefix + "out", width, width),
     ]
 
 
 def _lma_names(prefix, width):
-    return [
-        (prefix + "ln.scale", (width,), "one"),
-        (prefix + "ln.bias", (width,), "zero"),
-        (prefix + "conv.weight", (width, width), width),
-        (prefix + "conv.bias", (width,), "zero"),
-    ]
+    return _ln(prefix + "ln", width) + _lin(prefix + "conv", width, width)
 
 
 def _gma_names(prefix, width, hidden):
-    names = [
-        (prefix + "in.weight", (width, width), width),
-        (prefix + "in.bias", (width,), "zero"),
-        (prefix + "ln1.scale", (width,), "one"),
-        (prefix + "ln1.bias", (width,), "zero"),
+    return [
+        *_lin(prefix + "in", width, width),
+        *_ln(prefix + "ln1", width),
+        *_lin(prefix + "q", width, hidden),
+        *_lin(prefix + "k", width, hidden),
+        *_lin(prefix + "v", width, hidden),
+        *_lin(prefix + "proj", hidden, width),
+        *_ln(prefix + "ln2", width),
+        *_lin(prefix + "ffn1", width, hidden),
+        *_lin(prefix + "ffn2", hidden, width),
     ]
-    for p in ("q", "k", "v"):
-        names += [
-            (prefix + p + ".weight", (width, hidden), width),
-            (prefix + p + ".bias", (hidden,), "zero"),
-        ]
-    names += [
-        (prefix + "proj.weight", (hidden, width), hidden),
-        (prefix + "proj.bias", (width,), "zero"),
-        (prefix + "ln2.scale", (width,), "one"),
-        (prefix + "ln2.bias", (width,), "zero"),
-        (prefix + "ffn1.weight", (width, hidden), width),
-        (prefix + "ffn1.bias", (hidden,), "zero"),
-        (prefix + "ffn2.weight", (hidden, width), hidden),
-        (prefix + "ffn2.bias", (width,), "zero"),
-    ]
-    return names
 
 
 def _weight_plan(config: ModelConfig):
     """Ordered (name, shape, init) triples; the order fixes the RNG stream."""
     e, d, h = config.embed_dim, config.joint_dim, config.mixed_hidden
-    plan = [
-        ("embed.weight", (RIG_CHANNELS, e), RIG_CHANNELS),
-        ("embed.bias", (e,), "zero"),
-    ]
+    s, k = config.ssd_state, config.conv_width
+    plan = _lin("embed", RIG_CHANNELS, e)
     for i in range(config.n_tfm):
         p = f"tfm{i}."
-        plan += _ssd_names(p + "fwd.", e, config.ssd_state, config.conv_width)
-        plan += _ssd_names(p + "bwd.", e, config.ssd_state, config.conv_width)
-        plan += _lma_names(p + "lma.", e)
-        plan += _gma_names(p + "gma.", e, config.gma_hidden)
+        plan += _ssd_names(p + "fwd.", e, s, k) + _ssd_names(p + "bwd.", e, s, k)
+        plan += _lma_names(p + "lma.", e) + _gma_names(p + "gma.", e, config.gma_hidden)
     for i in range(config.m_skfm):
         p = f"skfm{i}."
-        plan += [
-            (p + "in.weight", (e, h), e),
-            (p + "in.bias", (h,), "zero"),
-        ]
-        plan += _ssd_names(p + "fwd.", d, config.ssd_state, config.conv_width)
-        plan += _ssd_names(p + "bwd.", d, config.ssd_state, config.conv_width)
-        plan += [
-            (p + "out.weight", (h, e), h),
-            (p + "out.bias", (e,), "zero"),
-        ]
-        plan += _lma_names(p + "lma.", e)
-        plan += _gma_names(p + "gma.", e, config.gma_hidden)
-    plan += [
-        ("regressor.weight", (e, POSE_WIDTH), e),
-        ("regressor.bias", (POSE_WIDTH,), "zero"),
-    ]
-    return plan
+        plan += _lin(p + "in", e, h)
+        plan += _ssd_names(p + "fwd.", d, s, k) + _ssd_names(p + "bwd.", d, s, k)
+        plan += _lin(p + "out", h, e)
+        plan += _lma_names(p + "lma.", e) + _gma_names(p + "gma.", e, config.gma_hidden)
+    return plan + _lin("regressor", e, POSE_WIDTH)
 
 
 def init_weights(config: ModelConfig) -> dict:
-    """Deterministic seeded initialization.
-
-    A PCG64 generator seeded with config.seed draws each tensor in plan
-    order: linear/conv weights uniform in +-1/sqrt(fan_in), biases zero,
-    layer-norm scales one, and the raw-decay bias set so the SSD decay is
-    about 0.9 at zero input.
-    """
+    """Deterministic seeded initialization: a PCG64 generator seeded with
+    config.seed draws the plan's tensors in order, each by its init: uniform
+    in +-1/sqrt(init) for a fan-in, else zeros, ones or the decay bias."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     weights = {}
     for name, shape, init in _weight_plan(config):
@@ -271,15 +241,17 @@ def _linear(x, weights, name):
     return out
 
 
-def _layer_norm(x, scale, bias):
+def _layer_norm(x, weights, name):
+    """Layer norm over the last axis, then * weights[name + ".scale"]
+    + weights[name + ".bias"], both broadcast as in ``_linear``."""
     # the sums and divisions np.mean performs, without its Python wrapper;
     # the variance is the sum of squares np.var forms, without recentring
     n = x.shape[-1]
     d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(np.square(d), axis=-1, keepdims=True) / n
     d /= np.sqrt(var + _LN_EPS)
-    d *= scale[..., None, :]
-    d += bias[..., None, :]
+    d *= weights[name + ".scale"][..., None, :]
+    d += weights[name + ".bias"][..., None, :]
     return d
 
 
@@ -327,7 +299,7 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
     f1 = SiLU(Linear(LN(p))) and projected out through a second layer norm.
     """
     width = p.shape[-1]
-    z = _layer_norm(p, weights[prefix + "ln.scale"], weights[prefix + "ln.bias"])
+    z = _layer_norm(p, weights, prefix + "ln")
     xbc = _linear(z, weights, prefix + "xbc")
     xbc = _silu(
         _causal_depthwise_conv(
@@ -342,10 +314,7 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
         SsdParams(a=a, b=xbc[..., width : width + state],
                   c=xbc[..., width + state :], x=xbc[..., :width])
     )
-    h = _layer_norm(
-        gate, weights[prefix + "out_ln.scale"], weights[prefix + "out_ln.bias"]
-    )
-    return _linear(h, weights, prefix + "out")
+    return _linear(_layer_norm(gate, weights, prefix + "out_ln"), weights, prefix + "out")
 
 
 def bi_ssd(p: np.ndarray, weights: dict, prefix: str):
@@ -361,7 +330,7 @@ def bi_ssd(p: np.ndarray, weights: dict, prefix: str):
 
 def lma(f: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
     """Local aggregation: SiLU(kernel-1 conv(LN(f))), no temporal mixing."""
-    z = _layer_norm(f, weights[prefix + "ln.scale"], weights[prefix + "ln.bias"])
+    z = _layer_norm(f, weights, prefix + "ln")
     return _silu(_linear(z, weights, prefix + "conv"))
 
 
@@ -373,7 +342,7 @@ def gma(f: np.ndarray, weights: dict, prefix: str, heads: int) -> np.ndarray:
     over frames.
     """
     g = _linear(f, weights, prefix + "in")
-    z = _layer_norm(g, weights[prefix + "ln1.scale"], weights[prefix + "ln1.bias"])
+    z = _layer_norm(g, weights, prefix + "ln1")
     q, k, v = (_linear(z, weights, prefix + name) for name in ("q", "k", "v"))
     length, hidden = q.shape[-2:]
     dim = hidden // heads
@@ -386,7 +355,7 @@ def gma(f: np.ndarray, weights: dict, prefix: str, heads: int) -> np.ndarray:
     ctx = (att @ v).swapaxes(-3, -2).reshape(q.shape[:-3] + (length, hidden))
     g = g + _linear(ctx, weights, prefix + "proj")
 
-    z = _layer_norm(g, weights[prefix + "ln2.scale"], weights[prefix + "ln2.bias"])
+    z = _layer_norm(g, weights, prefix + "ln2")
     ff = _silu(_linear(z, weights, prefix + "ffn1"))
     return g + _linear(ff, weights, prefix + "ffn2")
 

@@ -115,7 +115,7 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
         with np.errstate(all="ignore"):
             try:
                 y = kinest_forward(x, config, _unflatten(vec, layout))
-            except (FloatingPointError, ValueError):
+            except FloatingPointError:
                 return np.full(vec.shape[:-1], np.inf)
         return total_loss(np.asarray(y, np.float64), z, wz)
 

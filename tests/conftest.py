@@ -9,9 +9,10 @@ from kinescan.kinematics import default_tree
 from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig
 
 
-def pytest_report_header(config):
-    """The OpenBLAS build and kernel set numpy loaded, so that a golden-digest
-    failure can be read against the kernels that produced it."""
+def openblas():
+    """(build, kernel family) of the OpenBLAS numpy loaded, e.g.
+    ("OpenBLAS 0.3.31 ... SkylakeX MAX_THREADS=64", "SkylakeX"); None where
+    its symbols are absent."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         try:
@@ -21,9 +22,26 @@ def pytest_report_header(config):
         except (OSError, AttributeError):
             continue
         get_config.restype = get_corename.restype = ctypes.c_char_p
-        return (f"openblas: {get_config().decode().strip()}; "
-                f"kernels: {get_corename().decode()}")
-    return "openblas: unknown"
+        return get_config().decode().strip(), get_corename().decode()
+    return None
+
+
+def pytest_report_header(config):
+    """The OpenBLAS build and kernel family numpy loaded, so that a golden
+    failure can be read against the kernels that produced it."""
+    found = openblas()
+    return f"openblas: {found[0]}; kernels: {found[1]}" if found else "openblas: unknown"
+
+
+def golden(table):
+    """``table[family]`` for the OpenBLAS kernel family numpy loaded: golden
+    values hold bit for bit on the family they were measured on. Fails,
+    naming the family and the measured ones, where none were measured."""
+    family = (openblas() or ("", "unknown"))[1]
+    if family not in table:
+        pytest.fail(f"no golden values measured for OpenBLAS kernels {family!r}; "
+                    f"measured: {', '.join(table)}")
+    return table[family]
 
 
 def make_rng(seed):

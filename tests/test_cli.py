@@ -448,6 +448,13 @@ class TestArgErrors:
         (["gen-synthetic", "--seed", str(2 ** 64), "--out", "o.txt"], "--seed"),
         (["verify", "--seed", str(2 ** 64)], "--seed"),
         (["train-micro", "--seed", str(2 ** 64)], "--seed"),
+        # int() and float() take these; sequence files refuse them
+        (["gen-synthetic", "--frames", "1_0", "--out", "o.txt"], "--frames"),
+        (["gen-synthetic", "--fps", "\uff160", "--out", "o.txt"], "--fps"),
+        (["gen-synthetic", "--fps", "6_0.0", "--out", "o.txt"], "--fps"),
+        (["gen-synthetic", "--seed", "\u0663", "--out", "o.txt"], "--seed"),
+        (["train-micro", "--iters", "1_0"], "--iters"),
+        (["verify", "--seed", "\u0968"], "--seed"),
     ], ids=["iters-negative", "trials-zero", "t-list-not-int", "t-list-zero",
             "frames-zero", "fps-zero", "eval-fps-zero", "eval-fps-nan",
             "fps-inf", "eval-fps-inf", "infer-chunk-removed", "eval-skeleton-removed",
@@ -455,7 +462,9 @@ class TestArgErrors:
             "gen-synthetic-seed-negative", "verify-seed-negative",
             "train-micro-seed-negative", "bench-seed-negative", "t-list-single",
             "t-list-repeated", "gen-synthetic-seed-2**64", "verify-seed-2**64",
-            "train-micro-seed-2**64"])
+            "train-micro-seed-2**64", "frames-underscore", "fps-fullwidth",
+            "fps-underscore", "seed-arabic-indic", "iters-underscore",
+            "verify-seed-devanagari"])
     def test_refused_flag_is_named(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(argv)

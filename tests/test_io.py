@@ -383,6 +383,18 @@ class TestRunConfig:
         path.write_text("# a comment\n\nseed=25  # trailing\n")
         assert load_run_config(path) == ModelConfig(seed=25)
 
+    # Python's int() takes these; sequence headers and rows refuse them
+    @pytest.mark.parametrize("line", ["embed_dim=1_6", "joint_dim=\u0664",
+                                      "seed=\uff17", "seq_len=\u0662\u0664"])
+    def test_int_values_are_ascii_decimals(self, tmp_path, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"n_tfm=1\n{line}\n", encoding="utf-8")
+        key, value = line.split("=")
+        with pytest.raises(ValueError) as exc:
+            load_run_config(path)
+        assert str(exc.value) == (f"{path}:2: bad value for {key}: "
+                                  f"could not convert string to int: {value!r}")
+
 def test_readme_run_config_keys_are_the_model_fields():
     # the documented key list must not drift from the loader's keys
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import expit
 
 import kinescan.model as model_mod
+from kinescan.kinematics import SCAN_ORDERS
 from kinescan.model import (
     MICRO_CONFIG_KWARGS,
     ModelConfig,
@@ -27,10 +28,19 @@ from kinescan.model import (
 )
 from kinescan.ssd import SsdParams, ssm_recurrence
 
-from conftest import make_rng
+import conftest
+from conftest import golden, make_rng
 
 MICRO_PARAMS = 16024
 FULL_PARAMS = 6071692
+# init_weights in plan order: tensor count, sha256 of its "name shape" lines
+# and sha256 of its float32 bytes
+INIT_PINS = {
+    "full": (212, "aa8e25071a3f58f1f4624d591bb188817e2238bde87e725f5ed3a040e9f8ef29",
+             "e29162b325a53f082e9fd824a7dfb922c65033932254587c4a7feb5a5adace16"),
+    "micro": (108, "37feec63541673e8607e44934246a6d339cbc558462423ee241054fd7983f613",
+              "d96dcf8d0c097508e91e62140abb9b166abd5811d1deb0a0713785f0a29704cf"),
+}
 
 
 def micro_weights(**overrides):
@@ -119,7 +129,7 @@ class TestPrimitives:
         scale = rng.uniform(0.5, 2.0, shape[1]).astype(np.float32)
         bias = rng.standard_normal(shape[1]).astype(np.float32)
         x_in = x.copy()
-        got = _layer_norm(x, scale, bias)
+        got = _layer_norm(x, {"ln.scale": scale, "ln.bias": bias}, "ln")
         assert np.array_equal(got, two_pass_layer_norm(x, scale, bias))
         assert np.array_equal(x, x_in)
 
@@ -260,6 +270,18 @@ class TestInitWeights:
     def test_no_skfm_weights_when_disabled(self):
         _, w = micro_weights(m_skfm=0)
         assert not any(name.startswith("skfm") for name in w)
+
+    @pytest.mark.parametrize("scale", sorted(INIT_PINS))
+    def test_plan_and_bytes_pinned(self, scale):
+        # PCG64 draws and float32 casts only: no BLAS, so one pin for every kernel set
+        count, plan_digest, bytes_digest = INIT_PINS[scale]
+        config = ModelConfig() if scale == "full" else micro_weights()[0]
+        w = init_weights(config)
+        plan = "".join(f"{name} {t.shape}\n" for name, t in w.items())
+        assert len(w) == count
+        assert hashlib.sha256(plan.encode()).hexdigest() == plan_digest
+        weight_bytes = b"".join(t.tobytes() for t in w.values())
+        assert hashlib.sha256(weight_bytes).hexdigest() == bytes_digest
 
 
 class TestEmbed:
@@ -666,13 +688,40 @@ class TestInferWindowed:
             infer_windowed(np.zeros((0, 36), dtype=np.float32), config, w)
 
 
-# sha256 of the float32 bytes of full-scale outputs with seed-0 weights
+# sha256 of the float32 bytes of full-scale outputs with seed-0 weights, per
+# OpenBLAS kernel family: each family's matmul kernels round differently
 GOLDEN_FORWARD = {
-    "index": "a19b706622d8ce6a291a6f169c7b9075918fd873aca9e63fdbc566b8d3c8e3b7",
-    "fks": "145abfd9305b337691659f1d92de7fd33488b46055d0b19aa9ba2378ad6fbd81",
-    "uks": "9a04161ebcef3de3a06d52e8a5d948e30e30dd4d86537ae3b47d4be7d720e149",
+    "SkylakeX": {
+        "index": "a19b706622d8ce6a291a6f169c7b9075918fd873aca9e63fdbc566b8d3c8e3b7",
+        "fks": "145abfd9305b337691659f1d92de7fd33488b46055d0b19aa9ba2378ad6fbd81",
+        "uks": "9a04161ebcef3de3a06d52e8a5d948e30e30dd4d86537ae3b47d4be7d720e149",
+        "fks-windowed-130": "1e81b288fc04832d03d7aad329537477094a1c63b38376e340b2902f7a7c3cb9",
+    },
+    "Haswell": {
+        "index": "64f59f4e1e6e8eac6060c4f57162b0e70b764e1e89694bce74c801fc887fb407",
+        "fks": "948d091616031c3cfae8b7cbdc0ea5bb9f51c847a29d2ab398056278f127de3c",
+        "uks": "d321fe81c7ca7e8a487f6fe6659c2347758a9db4c254d424592e975e7d3474d9",
+        "fks-windowed-130": "8bf5d9cea1fa4fb9eb89e64e3376b48d41606dc8afd0cde3fe8b020099c00874",
+    },
+    "Sandybridge": {
+        "index": "8b65546ade6ff5d6b1255ab0ef1c570fad1326e5bab319d8e03411d72385a367",
+        "fks": "50804dc94bccaff7ac6de8769a41011ce306fac983af54c0078ef8a184d25f7e",
+        "uks": "b294d527ee209f03f4dea0b5364174f6521abc4c1f624fb4b122f1218b2a26f1",
+        "fks-windowed-130": "d7da204065e3b4fc58820e34e84ee3418768ec1bface485a9783cfa22c56b5e6",
+    },
+    "Nehalem": {
+        "index": "5c1995a613358447a7505e89c0dd7d57df4e1185a29563920f9003d1db79ac07",
+        "fks": "1045e5aadda749cbea0550cf3c6937768a1cd4f91a26829c3dd7934c9af2dda4",
+        "uks": "91a9f3bbc374b6ed9bcd0ec523a7d11be5774fc3abf8ddda6a7264f0bebb9f73",
+        "fks-windowed-130": "ee9586a5ac0d54f0c42c20813c551dd67eeb4139a66ca9a8428615126fe846d8",
+    },
+    "Katmai": {
+        "index": "7f0880cd57e3476425293d062508bcd26a0413e80b70dfdba9ee4aeb8f641b65",
+        "fks": "c10ec66d50936fcfd4ccd6e5617cdebbb84f0e3f7bcc1e710b47497d3f0c9280",
+        "uks": "85da1a4ccc596009f684911a4be98cb0f75de504cf75bd123ed0a1db8cdb4221",
+        "fks-windowed-130": "b29efb477018ec20944bca75f0fc42dcc6b29e484ff5953e5660076595deb9c9",
+    },
 }
-GOLDEN_WINDOWED_FKS_130 = "1e81b288fc04832d03d7aad329537477094a1c63b38376e340b2902f7a7c3cb9"
 
 
 def sha256(a):
@@ -681,18 +730,24 @@ def sha256(a):
 
 class TestGolden:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("strategy", sorted(GOLDEN_FORWARD))
+    @pytest.mark.parametrize("strategy", sorted(SCAN_ORDERS))
     def test_full_scale_forward_bit_for_bit(self, strategy, dtype):
         # a float64 input is cast once, to the weights' float32
         config = ModelConfig(scan_strategy=strategy)
         x = make_rng(11).standard_normal((96, 36)).astype(dtype)
         y = kinest_forward(x, config, init_weights(config))
         assert y.dtype == np.float32
-        assert sha256(y) == GOLDEN_FORWARD[strategy]
+        assert sha256(y) == golden(GOLDEN_FORWARD)[strategy]
 
     def test_full_scale_fks_windowed_bit_for_bit(self):
         config = ModelConfig(scan_strategy="fks")
         x = make_rng(12).standard_normal((130, 36))
         y = infer_windowed(x, config, init_weights(config))
         assert y.shape == (130, 22, 6) and y.dtype == np.float32
-        assert sha256(y) == GOLDEN_WINDOWED_FKS_130
+        assert sha256(y) == golden(GOLDEN_FORWARD)["fks-windowed-130"]
+
+    def test_unmeasured_kernel_family_fails_naming_it(self, monkeypatch):
+        monkeypatch.setattr(conftest, "openblas", lambda: ("OpenBLAS", "Zen5"))
+        with pytest.raises(pytest.fail.Exception,
+                           match=r"kernels 'Zen5'; measured: SkylakeX, Haswell, "):
+            golden(GOLDEN_FORWARD)

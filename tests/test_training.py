@@ -9,6 +9,8 @@ from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig, init_weights, param
 from kinescan.synthetic import sparse_from_pose, synthetic_pose
 from kinescan.training import PARAM_LIMIT, TrainResult, smoothed_trace, train_micro
 
+from conftest import golden
+
 
 def micro_problem(frames=24, seed=0):
     config = ModelConfig(seed=0, **MICRO_CONFIG_KWARGS)
@@ -102,6 +104,11 @@ class TestTrainMicro:
         smoothed = smoothed_trace(result.trace)
         assert smoothed[-1] < 0.75 * smoothed[0]
 
+    def test_shape_error_is_not_reported_as_non_finite_loss(self):
+        config, _, z = micro_problem()
+        with pytest.raises(ValueError, match=r"expected input shape \(L, 36\), got \(24, 35\)"):
+            train_micro(config, np.zeros((24, 35)), z, iters=1)
+
     def test_divergent_step_size_raises(self, monkeypatch):
         config, x, z = micro_problem()
         monkeypatch.setattr(training, "_STEP_A", 1e4)
@@ -109,25 +116,100 @@ class TestTrainMicro:
             train_micro(config, x, z, iters=400, seed=0)
 
 
-# 10-iteration train_micro on micro_problem(), pinned bit for bit: the trace,
-# both losses as float.hex and the sha256 of the final weight bytes
+# 10-iteration train_micro on micro_problem(), pinned bit for bit per OpenBLAS
+# kernel family: the trace, both losses as float.hex and the sha256 of the
+# final weight bytes
 GOLDEN = {
-    0: (
-        ["0x1.9406354682e0ap+5", "0x1.c10deeca845a2p+5", "0x1.8ca6c2f1f5915p+5",
-         "0x1.7219251f694c6p+5", "0x1.7d04e2d59c77ap+5", "0x1.143c2250322dap+5",
-         "0x1.2b8586efe4656p+5", "0x1.ca247b19f1934p+4", "0x1.7ce246b1cc0d4p+4",
-         "0x1.888c7967fe7e8p+4"],
-        "0x1.98d25263ee1d7p+5", "0x1.a89d994d71cfap+4",
-        "bbcb1769d03cd0f80d8936c2b96c4c7ddbe1ad0e66ca01fbcdd43c688f515a62",
-    ),
-    3: (
-        ["0x1.8680f80cf1872p+5", "0x1.4165b95266076p+5", "0x1.30dc112e0b504p+5",
-         "0x1.64ac9000dee7fp+5", "0x1.36a197ce0ea00p+5", "0x1.e5f5f0ac10268p+4",
-         "0x1.f3fe3f3c8d44fp+4", "0x1.94ff8f3a74821p+4", "0x1.b1096044b87fap+4",
-         "0x1.ad5adc134e04ap+4"],
-        "0x1.98d25263ee1d7p+5", "0x1.cbabaefde88a9p+4",
-        "b02effcbb58aeb1e2a975e9da654caa3b496f13b7b0ee4c51267dc86a653148d",
-    ),
+    "SkylakeX": {
+        0: (
+            ["0x1.9406354682e0ap+5", "0x1.c10deeca845a2p+5", "0x1.8ca6c2f1f5915p+5",
+             "0x1.7219251f694c6p+5", "0x1.7d04e2d59c77ap+5", "0x1.143c2250322dap+5",
+             "0x1.2b8586efe4656p+5", "0x1.ca247b19f1934p+4", "0x1.7ce246b1cc0d4p+4",
+             "0x1.888c7967fe7e8p+4"],
+            "0x1.98d25263ee1d7p+5", "0x1.a89d994d71cfap+4",
+            "bbcb1769d03cd0f80d8936c2b96c4c7ddbe1ad0e66ca01fbcdd43c688f515a62",
+        ),
+        3: (
+            ["0x1.8680f80cf1872p+5", "0x1.4165b95266076p+5", "0x1.30dc112e0b504p+5",
+             "0x1.64ac9000dee7fp+5", "0x1.36a197ce0ea00p+5", "0x1.e5f5f0ac10268p+4",
+             "0x1.f3fe3f3c8d44fp+4", "0x1.94ff8f3a74821p+4", "0x1.b1096044b87fap+4",
+             "0x1.ad5adc134e04ap+4"],
+            "0x1.98d25263ee1d7p+5", "0x1.cbabaefde88a9p+4",
+            "b02effcbb58aeb1e2a975e9da654caa3b496f13b7b0ee4c51267dc86a653148d",
+        ),
+    },
+    "Haswell": {
+        0: (
+            ["0x1.94062f503cce8p+5", "0x1.c10de1bfe69e4p+5", "0x1.8ca6b37945a5ep+5",
+             "0x1.7218c99eefc62p+5", "0x1.7d06f214f8274p+5", "0x1.143dedd1f7528p+5",
+             "0x1.2b840246e9e5bp+5", "0x1.ca93ca1815dfap+4", "0x1.7cc42773d2fe5p+4",
+             "0x1.8890cfa024daap+4"],
+            "0x1.98d24b312e7c3p+5", "0x1.a9df670873d5dp+4",
+            "5c1c79f365a11532906e808ff6789120dcfcf7a7bc6f834c19c07308452ce91f",
+        ),
+        3: (
+            ["0x1.8681040f93bdep+5", "0x1.4165b46ef9496p+5", "0x1.30dbda2a1aaedp+5",
+             "0x1.64ac888a23e74p+5", "0x1.36a1d47899e65p+5", "0x1.e5cacf0347776p+4",
+             "0x1.f459ec8676a06p+4", "0x1.9661cb3251e6ap+4", "0x1.ac75df94e887ep+4",
+             "0x1.cd703c7792ff4p+4"],
+            "0x1.98d24b312e7c3p+5", "0x1.0b6409901f453p+5",
+            "364c3407245dd0d3c8ab161582575a028e66baf63ade124b9cdefad9c9e1e89b",
+        ),
+    },
+    "Sandybridge": {
+        0: (
+            ["0x1.940631b4cc438p+5", "0x1.c10e1e715e00cp+5", "0x1.8ca1389df5aa9p+5",
+             "0x1.72261cbe745acp+5", "0x1.7d34da470a636p+5", "0x1.14eeaac97b538p+5",
+             "0x1.25535f4af749ap+5", "0x1.bf0af5f88813bp+4", "0x1.a9038ee4e5c9ep+4",
+             "0x1.caaf82193090bp+4"],
+            "0x1.98d24f47030edp+5", "0x1.a7fc7792bc1fdp+4",
+            "32a72a050e7b9c5f13bd1282463a07369f9aebe35b74ac7a85207ec8b73167d6",
+        ),
+        3: (
+            ["0x1.8680f606f7669p+5", "0x1.4165ba9aebe80p+5", "0x1.30dc23d49b3bep+5",
+             "0x1.64ac6d6c6117fp+5", "0x1.36a1720204085p+5", "0x1.e5e85a90be550p+4",
+             "0x1.f4e09daa87fecp+4", "0x1.999a35c2e997ep+4", "0x1.aa3e53909726dp+4",
+             "0x1.e6a78094b89e4p+4"],
+            "0x1.98d24f47030edp+5", "0x1.0a7735984d913p+5",
+            "70eba1b5bbf9012465c7f0ec3d6e2ae41f267e8d0fc84be7b78a39fb783f094d",
+        ),
+    },
+    "Nehalem": {
+        0: (
+            ["0x1.9406342eee844p+5", "0x1.c10df842ac50ep+5", "0x1.8ca6d2a8b18dap+5",
+             "0x1.7219f5b8a6fbap+5", "0x1.7cff7f58b05e8p+5", "0x1.143629ffc0872p+5",
+             "0x1.2badd3b60d1d5p+5", "0x1.c98aedad91053p+4", "0x1.7e12074a283a6p+4",
+             "0x1.883663bc5e67ap+4"],
+            "0x1.98d24f47030edp+5", "0x1.a2a1ddef6b2f8p+4",
+            "ed2a353fc15b284298b69bba6854003f3a760612e2fdb36cd97aee1800ec8d9d",
+        ),
+        3: (
+            ["0x1.8680f5f72e5a0p+5", "0x1.4165bd3ed6184p+5", "0x1.30dc2332b5ddap+5",
+             "0x1.64ac843acafbdp+5", "0x1.36a1889e85d7ep+5", "0x1.e5ece45cf401cp+4",
+             "0x1.f4714b8bed61fp+4", "0x1.988e95dc67beap+4", "0x1.aa32501b34214p+4",
+             "0x1.e7874cfa1882dp+4"],
+            "0x1.98d24f47030edp+5", "0x1.0d720e9ba3361p+5",
+            "f24ad8b515080128f6c0bc56ec4d969b58d24d5f6bbfd2de8bea38a273efd621",
+        ),
+    },
+    "Katmai": {
+        0: (
+            ["0x1.94063886f6750p+5", "0x1.c10dfc8bd38eep+5", "0x1.8ca6de116cc92p+5",
+             "0x1.721a84a763f66p+5", "0x1.7cfc2e3df80dep+5", "0x1.1432eaecb3ddep+5",
+             "0x1.2bc929b6180f0p+5", "0x1.c95b5c44ad245p+4", "0x1.7eb44dac4ba9cp+4",
+             "0x1.86eed0bfd1c13p+4"],
+            "0x1.98d24e5754978p+5", "0x1.9a78cae632a0ap+4",
+            "a8528e7114982945e929b015d85a52897062ff75125cd9ce4698f69ca60346dc",
+        ),
+        3: (
+            ["0x1.8680f6245834ep+5", "0x1.4165be2f57161p+5", "0x1.30dc2535aaa41p+5",
+             "0x1.64ac92653cf8bp+5", "0x1.36a187206ccb7p+5", "0x1.e5f0dea88e8dap+4",
+             "0x1.f43faf2ea2154p+4", "0x1.96eafbe08d2eap+4", "0x1.ac44543b718b8p+4",
+             "0x1.dd240aeb34f4ep+4"],
+            "0x1.98d24e5754978p+5", "0x1.0c3a86e9aa4d4p+5",
+            "9c126d2b8e9a68011693c30c52591c878accbf77266fdf7024a436a6f5e7faeb",
+        ),
+    },
 }
 
 
@@ -151,9 +233,9 @@ class TestFlatten:
 
 
 class TestGolden:
-    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    @pytest.mark.parametrize("seed", [0, 3])
     def test_ten_iterations_bit_for_bit(self, seed):
-        trace, initial, final, digest = GOLDEN[seed]
+        trace, initial, final, digest = golden(GOLDEN)[seed]
         config, x, z = micro_problem()
         result = train_micro(config, x, z, iters=10, seed=seed)
         assert [float(v).hex() for v in result.trace] == trace
