@@ -78,15 +78,16 @@ def _degenerate_in(path, exc):
 def cmd_eval(args) -> int:
     pred_seq = kio.load_sequence(args.pred, "pose")
     gt_seq = kio.load_sequence(args.gt, "pose")
-    # velocity and jitter scale with the frame rate, so both files must share
-    # it; velocity needs two frames
-    if ((pred_seq.frames, pred_seq.fps) != (gt_seq.frames, gt_seq.fps)
+    # velocity and jitter scale with the frame rate, velocity needs two
+    # frames, and a root-less file would score against a zero root
+    if ((pred_seq.data.shape, pred_seq.fps) != (gt_seq.data.shape, gt_seq.fps)
             or gt_seq.frames < 2):
         raise ValueError(
-            "frame count or rate mismatch, or fewer than two frames: "
+            "frame count, rate or column mismatch, or fewer than two frames: "
             f"{args.pred} has {pred_seq.frames} frames "
             f"at {kio.format_fps(pred_seq.fps)} fps, {args.gt} has {gt_seq.frames} "
-            f"frames at {kio.format_fps(gt_seq.fps)} fps"
+            f"frames at {kio.format_fps(gt_seq.fps)} fps, with "
+            f"{pred_seq.data.shape[1]} and {gt_seq.data.shape[1]} columns"
         )
     pose_y, root_y = kio.pose_from_sequence(pred_seq)
     pose_z, root_z = kio.pose_from_sequence(gt_seq)

@@ -410,56 +410,51 @@ def infer_windowed(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndar
         raise ValueError("a sequence needs at least one frame")
     length = config.seq_len
     outputs = []
-    with np.errstate(all="ignore"):  # non-finite values raise below instead
-        for start in range(0, x.shape[0], length):
-            window = x[start : start + length]
-            r = window.shape[0]
-            # both steps are identities on a full window (r == length)
-            window = np.pad(window, ((length - r, 0), (0, 0)), mode="edge")
-            try:
-                outputs.append(kinest_forward(window, config, weights)[-r:])
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"frames {start}-{start + r - 1}: {exc}") from None
+    for start in range(0, x.shape[0], length):
+        window = x[start : start + length]
+        r = window.shape[0]
+        # both steps are identities on a full window (r == length)
+        window = np.pad(window, ((length - r, 0), (0, 0)), mode="edge")
+        try:
+            outputs.append(kinest_forward(window, config, weights)[-r:])
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"frames {start}-{start + r - 1}: {exc}") from None
     return np.concatenate(outputs, axis=0)
 
 
 def _layer_outputs(x, config, weights):
-    """Yield (layer name, output) for each layer of the forward pass in turn,
-    ending with the regressor."""
+    """Yield the output of each layer of the forward pass in turn: embed,
+    TFMs, SKFMs, regressor."""
     p = embed(x, weights)
-    yield "embed", p
+    yield p
     for i in range(config.n_tfm):
         p = tfm_forward(p, weights, f"tfm{i}.", config)
-        yield f"tfm{i}.", p
+        yield p
     for i in range(config.m_skfm):
         p = stmm_forward(p, weights, f"skfm{i}.", config)
-        yield f"skfm{i}.", p
-    yield "regressor", _linear(p, weights, "regressor")
+        yield p
+    yield _linear(p, weights, "regressor")
 
 
 def kinest_forward(x: np.ndarray, config: ModelConfig, weights: dict) -> np.ndarray:
     """Full forward pass: (L, 36) tracking signal -> (L, 22, 6) rotations,
     with any leading batch axes of the input or the weights in front.
 
-    A forward that meets non-finite values raises FloatingPointError naming
-    the first layer where they appear, found by running the layers again.
+    The layers run once. An overflow or invalid operation inside them, even
+    one the output would not show, or a non-finite layer output raises
+    FloatingPointError naming that layer.
     """
-    try:
-        for _, y in _layer_outputs(x, config, weights):
-            pass
-        if np.all(np.isfinite(y)):
-            return y.reshape(y.shape[:-1] + (NUM_JOINTS, 6))
-    except ValueError:  # the SSD refuses the NaN decays of an overflowed layer
-        pass
-    # rerun, numpy raising at the first overflow or NaN; finite layers drop their names
+    # names[0] is the layer being computed; a finite layer drops its name
     names = ["embed", *(f"tfm{i}." for i in range(config.n_tfm)),
              *(f"skfm{i}." for i in range(config.m_skfm)), "regressor"]
     with np.errstate(over="raise", invalid="raise"):
         try:
-            for _, out in _layer_outputs(x, config, weights):
-                if not np.all(np.isfinite(out)):
+            for y in _layer_outputs(x, config, weights):
+                if not np.all(np.isfinite(y)):
                     break
                 del names[0]
+            else:
+                return y.reshape(y.shape[:-1] + (NUM_JOINTS, 6))
         except FloatingPointError:
             pass
     raise FloatingPointError(f"non-finite values, first in layer {names[0]!r}")

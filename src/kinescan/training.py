@@ -112,11 +112,10 @@ def train_micro(config: ModelConfig, x: np.ndarray, z: np.ndarray,
         # a perturbation that blows up the forward pass reads as infinite
         # loss, for every vector in the batch, so the divergence guard, not
         # a crash, handles it
-        with np.errstate(all="ignore"):
-            try:
-                y = kinest_forward(x, config, _unflatten(vec, layout))
-            except FloatingPointError:
-                return np.full(vec.shape[:-1], np.inf)
+        try:
+            y = kinest_forward(x, config, _unflatten(vec, layout))
+        except FloatingPointError:
+            return np.full(vec.shape[:-1], np.inf)
         return total_loss(np.asarray(y, np.float64), z, wz)
 
     initial = objective(theta)

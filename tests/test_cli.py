@@ -138,18 +138,22 @@ class TestInfer:
         assert code == 1
         assert "sparse_input" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("columns, config, layer", [
-        (1, None, "tfm0."),  # the layer norm of tfm0 overflows
-        (36, "n_tfm=0\nm_skfm=0\n", "embed"),
-    ], ids=["first-value-full-scale", "whole-row-embed-only"])
+    @pytest.mark.parametrize("columns, value, config, layer", [
+        (1, 3e38, None, "tfm0."),  # the layer norm of tfm0 overflows
+        (36, 3e38, "n_tfm=0\nm_skfm=0\n", "embed"),
+        # tfm0's layer-norm variance overflows, yet the output would be finite
+        (1, 1e20, None, "tfm0."),
+    ], ids=["first-value-full-scale", "whole-row-embed-only",
+            "finite-output-full-scale"])
     def test_overflowing_input_names_file_frames_and_layer(self, tmp_path, capsys,
-                                                           columns, config, layer):
-        # finite values near float32's limit overflow inside the forward;
-        # no numpy warning, one error line
+                                                           columns, value, config,
+                                                           layer):
+        # finite values overflow inside the forward; no numpy warning, one
+        # error line
         inp = tmp_path / "in.txt"
         seq = gen_synthetic(seed=0, frames=96, kind="sparse_input")
         data = seq.data.copy()
-        data[10, :columns] = 3e38
+        data[10, :columns] = value
         save_sequence(inp, Sequence(kind="sparse_input", data=data, fps=seq.fps))
         argv = ["infer", str(inp), "--out", str(tmp_path / "o.txt")]
         if config:
@@ -281,6 +285,32 @@ class TestEval:
         assert f"{a} has 1 frames at 60 fps" in captured.err
         assert f"{b} has 1 frames at 60 fps" in captured.err
         assert captured.out == ""
+
+    def test_root_less_prediction_against_rooted_truth_refused(self, tmp_path,
+                                                               capsys):
+        # a root-less file would score against a zero root: a perfect
+        # prediction of a 3 m walk would read 150 cm of position error
+        poses = gen_synthetic(0, 6, "pose").data
+        root = np.zeros((6, 3), dtype=np.float32)
+        root[:, 0] = np.linspace(0.0, 3.0, 6)
+        pred, gt, pred_rooted = (tmp_path / name for name in
+                                 ("pred.txt", "gt.txt", "pred_rooted.txt"))
+        save_sequence(pred, Sequence(kind="pose", data=poses))
+        rooted = Sequence(kind="pose", data=np.concatenate([poses, root], axis=1))
+        save_sequence(gt, rooted)
+        save_sequence(pred_rooted, rooted)
+        capsys.readouterr()
+        assert main(["eval", str(pred), str(gt)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "kinescan: error: frame count, rate or column mismatch, or fewer than "
+            f"two frames: {pred} has 6 frames at 60 fps, {gt} has 6 frames at "
+            "60 fps, with 132 and 135 columns"
+        ]
+        # a rooted pair is still scored
+        assert main(["eval", str(pred_rooted), str(gt)]) == 0
+        assert "mpjpe_cm: 0\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("order", ["pred-30", "gt-30"])
     def test_frame_rate_mismatch_names_both_files(self, tmp_path, capsys, order):
@@ -465,7 +495,8 @@ class TestArgErrors:
             "train-micro-seed-2**64", "frames-underscore", "fps-fullwidth",
             "fps-underscore", "seed-arabic-indic", "iters-underscore",
             "verify-seed-devanagari"])
-    def test_refused_flag_is_named(self, capsys, argv, flag):
+    def test_refused_flag_is_named(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)  # a command that ran would write o.txt here
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
@@ -478,7 +509,9 @@ class TestArgErrors:
         assert args.seed == 2 ** 64 - 1
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
-    def test_fps_flag_must_be_finite_positive(self, capsys, value):
+    def test_fps_flag_must_be_finite_positive(self, tmp_path, monkeypatch, capsys,
+                                              value):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit):
             main(["gen-synthetic", f"--fps={value}", "--out", "o.txt"])
         assert "must be a finite positive number" in capsys.readouterr().err

@@ -510,20 +510,28 @@ class TestKinestForward:
         config, w = micro_weights()
         w = dict(w)
         w["skfm0.out.bias"] = np.full_like(w["skfm0.out.bias"], 3e38)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(FloatingPointError, match=r"'skfm0\.'"):
+        with pytest.raises(FloatingPointError, match=r"'skfm0\.'"):
             kinest_forward(rng.standard_normal((24, 36)), config, w)
 
-
     def test_overflow_that_reaches_the_scan_decays_names_its_layer(self, rng):
-        # the tfm0 layer norm overflows, its decays turn NaN and the scan
-        # refuses them; the error names the layer, not the decays
+        # the tfm0 layer norm overflows, which would turn its decays NaN;
+        # the error names the layer, not the decays
         config, w = micro_weights()
         x = rng.standard_normal((24, 36))
         x[10, :6] = 3e38
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(FloatingPointError, match=r"first in layer 'tfm0\.'"):
+        with pytest.raises(FloatingPointError, match=r"first in layer 'tfm0\.'"):
             kinest_forward(x, config, w)
+
+    @pytest.mark.parametrize("value", [1e20, 1e35])
+    @pytest.mark.parametrize("scale", ["micro", "full"])
+    def test_overflow_with_a_finite_output_names_its_layer(self, rng, scale, value):
+        # tfm0's layer-norm variance overflows, while the output would be
+        # finite; the forward refuses it all the same
+        config = ModelConfig() if scale == "full" else micro_weights()[0]
+        x = rng.standard_normal((config.seq_len, 36))
+        x[10, 0] = value
+        with pytest.raises(FloatingPointError, match=r"first in layer 'tfm0\.'$"):
+            kinest_forward(x, config, init_weights(config))
 
     def test_shape_errors_are_not_reported_as_non_finite(self, rng):
         config, w = micro_weights()
@@ -559,7 +567,7 @@ class TestFloat64Weights:
         w64 = float64_weights(weights)
         x = make_rng(seed).standard_normal((config.seq_len, 36))
         layers = list(model_mod._layer_outputs(x, config, w64))
-        assert all(out.dtype == np.float64 for _, out in layers)
+        assert all(out.dtype == np.float64 for out in layers)
         assert len(scans) == 2 * (config.n_tfm + config.m_skfm)
         assert all(dtypes == {np.dtype(np.float64)} for dtypes in scans)
         y64 = kinest_forward(x, config, w64)
