@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import io as kio
-from .kinematics import SCAN_ORDERS, default_tree, sixd_blocks
+from .kinematics import POSE_WIDTH, SCAN_ORDERS, default_tree, sixd_blocks
 from .metrics import check_fps, metrics
 from .model import (
     MICRO_CONFIG_KWARGS,
@@ -134,9 +134,12 @@ def cmd_train_micro(args) -> int:
         config = kio.load_run_config(args.config)
     if args.data:
         seq = kio.load_sequence(args.data, "pose")
-        if seq.frames != config.seq_len:
+        # a root would be dropped: the rig signal is derived from local poses
+        if seq.data.shape != (config.seq_len, POSE_WIDTH):
             raise ValueError(
-                f"{args.data}: {seq.frames} frames, config expects {config.seq_len}"
+                f"{args.data}: {seq.frames} frames of {seq.data.shape[1]} columns, "
+                f"config expects {config.seq_len} frames of root-less poses "
+                f"({POSE_WIDTH} columns)"
             )
     else:
         seq = gen_synthetic(args.seed, config.seq_len, "pose")
@@ -145,6 +148,8 @@ def cmd_train_micro(args) -> int:
         x = sparse_from_pose(z, default_tree(), fps=seq.fps)
     except DegenerateRotationError as exc:  # only a --data pose can be degenerate
         raise _degenerate_in(args.data, exc) from None
+    except ValueError as exc:  # or have a rate at which a velocity overflows
+        raise ValueError(f"{args.data}: {exc}") from None
 
     try:
         result = train_micro(config, x, z, iters=args.iters, seed=args.seed)

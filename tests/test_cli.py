@@ -67,6 +67,17 @@ class TestGenSynthetic:
                      "--out", str(out)]) == 0
         assert load_sequence(out, "pose").data.shape == (6, 132)
 
+    def test_rate_overflowing_rig_velocity_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "in.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gen-synthetic", "--fps", "1e50", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "kinescan: error: fps 1e+50 is too high: rig velocities overflow float32"
+        ]
+
 
 class TestInfer:
     def test_seventeen_digit_rate_survives_infer_then_eval(self, tmp_path,
@@ -408,6 +419,34 @@ class TestTrainMicro:
         save_sequence(data, gen_synthetic(seed=3, frames=10, kind="pose"))
         assert main(["train-micro", "--iters", "5", "--data", str(data)]) == 1
         assert "frames" in capsys.readouterr().err
+
+    def test_rooted_data_refused_naming_file_and_columns(self, tmp_path, capsys):
+        # training derives the rig from local poses; a walking root would be lost
+        seq = gen_synthetic(seed=3, frames=24, kind="pose")
+        root = np.zeros((24, 3), dtype=np.float32)
+        root[:, 0] = 0.1 * np.arange(24)
+        data = tmp_path / "rooted.txt"
+        save_sequence(data, Sequence(kind="pose", data=np.concatenate([seq.data, root],
+                                                                      axis=1)))
+        assert main(["train-micro", "--iters", "1", "--data", str(data)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"kinescan: error: {data}: 24 frames of 135 columns, config expects "
+            "24 frames of root-less poses (132 columns)"
+        ]
+
+    def test_data_rate_overflowing_rig_velocity_names_file(self, tmp_path, capsys):
+        seq = gen_synthetic(seed=3, frames=24, kind="pose")
+        data = tmp_path / "fast.txt"
+        save_sequence(data, Sequence(kind="pose", data=seq.data, fps=1e50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train-micro", "--iters", "1", "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"kinescan: error: {data}: fps 1e+50 is too high: rig velocities "
+            "overflow float32"
+        ]
 
     def test_degenerate_6d_in_data_names_file_frame_and_joint(self, tmp_path, capsys):
         seq = gen_synthetic(seed=3, frames=24, kind="pose")

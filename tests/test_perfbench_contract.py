@@ -118,6 +118,16 @@ def test_workload_calls_construct_and_run(bench, tmp_path):
         workload.control()
 
 
+@pytest.mark.parametrize("seed", [1, 11])
+def test_cli_sparse_input_is_the_benchmark_recording(bench, seed):
+    # gen-synthetic's two kinds at one seed are the pair a benchmark op runs
+    from kinescan.synthetic import gen_synthetic
+
+    gt, x = bench["workloads"].recording(seed, 1920)
+    assert np.array_equal(gen_synthetic(seed, 1920, "pose").data, gt.data)
+    assert gen_synthetic(seed, 1920, "sparse_input").data.tobytes() == x.tobytes()
+
+
 def test_traced_training_times_the_loss(bench):
     # a train_micro that stops calling the public total_loss drops
     # training.loss.ms from the benchmark's train-micro trace

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from kinescan.kinematics import TRACKED_JOINTS, forward_kinematics
+from kinescan.kinematics import FRAME_BLOCK, TRACKED_JOINTS, forward_kinematics
 from kinescan.rotations import matrix_to_sixd, sixd_to_matrix, validate_rotation
 from kinescan.synthetic import gen_synthetic, sparse_from_pose, synthetic_pose
 
@@ -50,6 +52,34 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic(seed=0, frames=5, kind="velocity")
 
+    def test_unknown_kind_refused_before_the_frame_count(self):
+        with pytest.raises(ValueError, match="unknown sequence kind 'velocity'"):
+            gen_synthetic(seed=0, frames=0, kind="velocity")
+
+    def test_pose_bytes_pinned(self):
+        # guards the generator's arithmetic: every golden and benchmark input
+        # is derived from these bytes
+        pose = gen_synthetic(seed=7, frames=1025, kind="pose").data
+        assert hashlib.sha256(pose.tobytes()).hexdigest() == (
+            "56165fe5c24a8c928d5c1d58721b66cdfdbeab717cb05129eeea05bdb4403e6e")
+        direct = synthetic_pose(seed=7, frames=1025)
+        assert hashlib.sha256(direct.tobytes()).hexdigest() == (
+            "1e9178231a83742ae0ecc90f2bbd88667ce776ccf6ed754f90dd9a67925df481")
+
+    @pytest.mark.parametrize("frames", [1, 24, FRAME_BLOCK + 1])
+    @pytest.mark.parametrize("fps", [30.0, 60.0])
+    def test_sparse_input_is_the_rig_signal_of_the_pose(self, tree, frames, fps):
+        sparse = gen_synthetic(seed=6, frames=frames, kind="sparse_input", fps=fps)
+        pose = gen_synthetic(seed=6, frames=frames, kind="pose", fps=fps).data
+        want = sparse_from_pose(pose.reshape(frames, 22, 6), tree, fps=fps)
+        assert sparse.data.tobytes() == want.tobytes()
+        parts = sparse.data.astype(np.float64).reshape(frames, 3, 12)
+        a1, a2 = parts[..., 3:6], parts[..., 6:9]
+        np.testing.assert_allclose(np.linalg.norm(a1, axis=-1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(np.linalg.norm(a2, axis=-1), 1.0, atol=1e-6)
+        np.testing.assert_allclose((a1 * a2).sum(axis=-1), 0.0, atol=1e-6)
+        assert not parts[0, :, 9:].any()  # frame 0's velocity
+
 
 class TestSparseFromPose:
     def test_tracked_joints_are_head_and_wrists(self):
@@ -72,6 +102,18 @@ class TestSparseFromPose:
             np.testing.assert_allclose(block[1:, 9:12],
                                        np.diff(positions[:, j], axis=0) * fps,
                                        atol=1e-4)
+
+    @pytest.mark.parametrize("fps", [0.0, float("nan"), 1e200])
+    def test_invalid_rate_refused(self, tree, fps):
+        with pytest.raises(ValueError, match="fps"):
+            sparse_from_pose(synthetic_pose(seed=0, frames=3), tree, fps=fps)
+
+    def test_rate_overflowing_float32_velocity_refused(self, tree):
+        # the rate itself is valid; the velocities it scales are not finite
+        # in float32, and no numpy warning is raised on the way
+        with pytest.raises(ValueError, match=r"^fps 1e\+50 is too high: rig "
+                                             "velocities overflow float32$"):
+            sparse_from_pose(synthetic_pose(seed=0, frames=3), tree, fps=1e50)
 
     def test_static_pose_has_zero_velocity(self, tree):
         pose = np.repeat(synthetic_pose(seed=0, frames=1), 5, axis=0)
