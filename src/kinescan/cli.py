@@ -263,14 +263,17 @@ def main(argv=None) -> int:
 
 
 def _set_heap_policy() -> None:
-    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 16 MiB.
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 16 MiB,
+    and keep one malloc arena.
 
-    Left dynamic, glibc raises both only after the process frees a large
-    mapped block. A process that never does keeps the 128 KiB default, so
-    each window's multi-MB temporaries are mapped, page-faulted in and
-    unmapped anew. Called once at process entry, not by ``main`` or at
-    import, so in-process callers keep their own heap. Does nothing where
-    the C library is not glibc.
+    Left dynamic, glibc raises both thresholds only after the process frees
+    a large mapped block. A process that never does keeps the 128 KiB
+    default, so each window's multi-MB temporaries are mapped, page-faulted
+    in and unmapped anew. The model's worker thread would otherwise get an
+    arena of its own, which keeps its freed temporaries apart from the main
+    one's. Called once at process entry, not by ``main`` or at import, so
+    in-process callers keep their own heap. Does nothing where the C library
+    is not glibc.
     """
     import ctypes
 
@@ -283,6 +286,7 @@ def _set_heap_policy() -> None:
     libc.mallopt.restype = ctypes.c_int
     libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD, from malloc.h
     libc.mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+    libc.mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def run() -> int:

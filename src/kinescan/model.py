@@ -20,6 +20,9 @@ weights: weights stacked to shape (B,) + shape give B forwards in one
 call, each bit-identical to its unbatched forward. Time is always axis -2.
 """
 
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +60,9 @@ _LN_EPS = 1e-5
 _DECAY_BIAS = float(np.log(np.expm1(-np.log(0.9))))
 # every seed, a config's or a command's, is a PCG64 seed below this
 SEED_LIMIT = 2 ** 64
+# ssd_block runs its row-local stages as two row halves, one on a worker
+# thread, on a scan axis at least this long (see _by_rows)
+_SPLIT_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -233,10 +239,11 @@ def _silu(x):
     return x
 
 
-def _linear(x, weights, name):
-    """x @ W + b with W, b = weights[name + ".weight"], weights[name + ".bias"];
-    the bias broadcasts over time (axis -2) and any leading batch axes."""
-    out = x @ weights[name + ".weight"]
+def _linear(x, weights, name, out=None):
+    """x @ W + b with W, b = weights[name + ".weight"], weights[name + ".bias"],
+    into ``out`` when given; the bias broadcasts over time (axis -2) and any
+    leading batch axes."""
+    out = np.matmul(x, weights[name + ".weight"], out=out)
     out += weights[name + ".bias"][..., None, :]
     return out
 
@@ -255,28 +262,110 @@ def _layer_norm(x, weights, name):
     return d
 
 
-def _causal_depthwise_conv(x, kernel, bias):
-    """Per-channel causal convolution along time (axis -2):
-    out[t] = sum_k kernel[k] x[t-K+1+k].
+def _causal_depthwise_conv(x, kernel, bias, lo, out):
+    """Rows lo .. lo + len(out) of the per-channel causal convolution of x
+    along time (axis -2), written into ``out``:
+    out[t - lo] = sum_k kernel[k] x[t-K+1+k], reading the K-1 rows of x
+    before row lo as a halo.
 
     Tap i reads x shifted down by k-1-i; taps are added in order of i, then
     the bias. The first tap is written, not added to zeros, so an output
     whose every tap product and bias is -0.0 stays -0.0 where a sum from
-    zero would read +0.0; no other bit depends on it.
+    zero would read +0.0; no other bit depends on it. Any row range gives
+    the bits the whole sequence gives in those rows.
     """
-    k = kernel.shape[-2]
-    t = x.shape[-2]
+    k, t = kernel.shape[-2], x.shape[-2]
+    hi = lo + out.shape[-2]
     first = min(k, t) - 1
-    out = np.empty_like(x)
-    out[..., :first, :] = 0
-    np.multiply(kernel[..., k - 1 - first, None, :], x[..., : t - first, :],
-                out=out[..., first:, :])
-    tmp = np.empty_like(x)
+    # the rows before ``first`` lack the first tap and start from zero
+    zero = min(max(first - lo, 0), hi - lo)
+    out[..., :zero, :] = 0
+    np.multiply(kernel[..., k - 1 - first, None, :], x[..., lo + zero - first : hi - first, :],
+                out=out[..., zero:, :])
+    tmp = np.empty_like(out)
     for shift in reversed(range(first)):
-        out[..., shift:, :] += np.multiply(kernel[..., k - 1 - shift, None, :],
-                                           x[..., : t - shift, :], out=tmp[..., : t - shift, :])
+        start = max(shift - lo, 0)
+        out[..., start:, :] += np.multiply(kernel[..., k - 1 - shift, None, :],
+                                           x[..., lo + start - shift : hi - shift, :],
+                                           out=tmp[..., start:, :])
     out += bias[..., None, :]
     return out
+
+
+_rows_lock = threading.Lock()
+_rows_jobs = None  # the worker thread's job queue, once it has started
+
+
+def _forget_row_worker():
+    """A forked child has no worker thread: the next split starts one."""
+    global _rows_lock, _rows_jobs
+    _rows_lock, _rows_jobs = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_row_worker)
+
+
+def _serve_rows(jobs):
+    """The worker thread: run each job's stage over its rows under the error
+    state of the thread that sent it, keep what it raised, then release the
+    job's lock."""
+    while True:
+        stage, lo, hi, errstate, done, raised = jobs.get()
+        try:
+            with np.errstate(**errstate):
+                stage(lo, hi)
+        except BaseException as exc:  # re-raised on the sending thread
+            raised.append(exc)
+        finally:
+            done.release()
+
+
+def _row_jobs():
+    """The worker thread's job queue; the thread starts on first use."""
+    global _rows_jobs
+    with _rows_lock:
+        if _rows_jobs is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve_rows, args=(jobs,), name="kinescan-rows",
+                             daemon=True).start()
+            _rows_jobs = jobs
+        return _rows_jobs
+
+
+def _cpu_count():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _by_rows(stage, t):
+    """Run stage(lo, hi) over rows 0..t.
+
+    Below _SPLIT_ROWS rows, or on one CPU, one call covers them all. Else
+    the worker thread runs rows mid..t while this thread runs rows 0..mid.
+    The stage must give every row the bits one call would, and write only
+    its own rows. mid is a multiple of 16 rows: OpenBLAS's float32
+    matrix-vector kernel (the decay projection) takes rows in groups of
+    four, and a split off that grid (T=3071 at 1535) moved last bits. This
+    thread waits for the worker's half before it returns or raises, and
+    re-raises what that half raised.
+    """
+    if t < _SPLIT_ROWS or _cpu_count() < 2:
+        stage(0, t)
+        return
+    mid = t // 32 * 16
+    done, raised = threading.Lock(), []
+    done.acquire()
+    _row_jobs().put((stage, mid, t, np.geterr(), done, raised))
+    try:
+        stage(0, mid)
+    finally:
+        done.acquire()
+    if raised:
+        raise raised[0]
 
 
 def embed(x: np.ndarray, weights: dict) -> np.ndarray:
@@ -297,24 +386,43 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
     lies in [0, 1] (in float32 it rounds to exactly 1 below raw ~= -17 and
     to 0 above raw ~= 104); the scan output is gated by
     f1 = SiLU(Linear(LN(p))) and projected out through a second layer norm.
+
+    The stages before and after the scan act on each row, or on causal
+    rows, alone; they run through ``_by_rows`` into arrays made here.
     """
-    width = p.shape[-1]
-    z = _layer_norm(p, weights, prefix + "ln")
-    xbc = _linear(z, weights, prefix + "xbc")
-    xbc = _silu(
-        _causal_depthwise_conv(
-            xbc, weights[prefix + "conv.kernel"], weights[prefix + "conv.bias"]
-        )
-    )
+    t, width = p.shape[-2:]
+    kernel = weights[prefix + "conv.kernel"]
+    lead = np.broadcast_shapes(p.shape[:-2], kernel.shape[:-2])
+    dtype = np.result_type(p, kernel)
+    pre, xbc = (np.empty(lead + (t, kernel.shape[-1]), dtype) for _ in range(2))
+    gate = np.empty(lead + (t, width), dtype)  # then the output, row by row
+    a = np.empty(lead + (t,), dtype)
+
+    def project(lo, hi):
+        z = _layer_norm(p[..., lo:hi, :], weights, prefix + "ln")
+        _linear(z, weights, prefix + "xbc", out=pre[..., lo:hi, :])
+        raw = _linear(z, weights, prefix + "a")
+        np.exp(-np.logaddexp(0.0, raw[..., 0]), out=a[..., lo:hi])
+        _silu(_linear(z, weights, prefix + "gate", out=gate[..., lo:hi, :]))
+
+    def conv(lo, hi):
+        _silu(_causal_depthwise_conv(pre, kernel, weights[prefix + "conv.bias"], lo,
+                                     xbc[..., lo:hi, :]))
+
+    def gate_out(lo, hi):
+        g = gate[..., lo:hi, :]
+        g *= y[..., lo:hi, :]
+        _linear(_layer_norm(g, weights, prefix + "out_ln"), weights, prefix + "out", out=g)
+
+    _by_rows(project, t)
+    _by_rows(conv, t)
     state = (xbc.shape[-1] - width) // 2
-    raw = _linear(z, weights, prefix + "a")
-    a = np.exp(-np.logaddexp(0.0, raw[..., 0]))
-    gate = _silu(_linear(z, weights, prefix + "gate"))
-    gate *= chunked_scan(
+    y = chunked_scan(
         SsdParams(a=a, b=xbc[..., width : width + state],
                   c=xbc[..., width + state :], x=xbc[..., :width])
     )
-    return _linear(_layer_norm(gate, weights, prefix + "out_ln"), weights, prefix + "out")
+    _by_rows(gate_out, t)
+    return gate
 
 
 def bi_ssd(p: np.ndarray, weights: dict, prefix: str):

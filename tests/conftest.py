@@ -44,6 +44,19 @@ def golden(table):
     return table[family]
 
 
+def sgemm_rows_independent():
+    """Whether the BLAS numpy loaded gives each row of a float32 matmul the
+    same bits whatever other rows share the call. The SkylakeX kernels do;
+    the Haswell ones do not: there a row's last bits move with the call's
+    row count and BLAS thread count, at the parent of the row split too."""
+    rng = make_rng(0)
+    z = rng.standard_normal((3072, 64)).astype(np.float32)
+    w = rng.standard_normal((64, 96)).astype(np.float32)
+    full = z @ w
+    return all(np.array_equal(z[lo:hi] @ w, full[lo:hi])
+               for lo, hi in ((0, 512), (512, 1024), (1024, 2049), (1536, 3072)))
+
+
 def make_rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 

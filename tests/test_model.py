@@ -1,5 +1,9 @@
 import dataclasses
 import hashlib
+import multiprocessing
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -141,7 +145,7 @@ class TestPrimitives:
         kernel = rng.standard_normal((width, shape[1])).astype(np.float32)
         bias = rng.standard_normal(shape[1]).astype(np.float32)
         x_in = x.copy()
-        got = _causal_depthwise_conv(x, kernel, bias)
+        got = _causal_depthwise_conv(x, kernel, bias, 0, np.empty_like(x))
         assert np.array_equal(got, zero_padded_conv(x, kernel, bias))
         assert np.array_equal(x, x_in)
 
@@ -151,7 +155,7 @@ class TestPrimitives:
         x = np.full((5, 2), -0.0, dtype=np.float32)
         kernel = np.ones((3, 2), dtype=np.float32)
         bias = np.float32([-0.0, 0.0])
-        got = _causal_depthwise_conv(x, kernel, bias)
+        got = _causal_depthwise_conv(x, kernel, bias, 0, np.empty_like(x))
         want = zero_padded_conv(x, kernel, bias)
         assert np.array_equal(got, want)
         assert np.signbit(got[:, 1]).sum() == 0 and np.signbit(want).sum() == 0
@@ -331,6 +335,164 @@ class TestSsdBlock:
         b = ssd_block(q, w, "tfm0.fwd.")
         assert np.array_equal(a[:15], b[:15])
         assert not np.array_equal(a[15:], b[15:])
+
+
+SPLIT = model_mod._SPLIT_ROWS
+
+
+@pytest.fixture(scope="module")
+def full_weights():
+    """Full-scale FKS weights for seeds 0 and 1."""
+    return [init_weights(ModelConfig(scan_strategy="fks", seed=s)) for s in (0, 1)]
+
+
+def see_cpus(monkeypatch, n):
+    """The model sees n CPUs: with 2 a long scan axis splits on any box."""
+    monkeypatch.setattr(model_mod, "_cpu_count", lambda: n)
+
+
+def record_layer_norms(monkeypatch):
+    """(thread id, rows) of each layer norm the model runs from now on."""
+    calls, real = [], model_mod._layer_norm
+
+    def recorder(x, weights, name):
+        calls.append((threading.get_ident(), x.shape[-2]))
+        return real(x, weights, name)
+
+    monkeypatch.setattr(model_mod, "_layer_norm", recorder)
+    return calls
+
+
+class TestRowSplit:
+    """At SPLIT rows or more, ssd_block runs its row-local stages as two
+    row halves, the second on a worker thread; every row keeps its bits."""
+
+    @pytest.mark.parametrize("t", [SPLIT, SPLIT + 1, 2 * SPLIT + 1, 3071, 3072])
+    def test_split_equals_inline_and_prefix_bitwise(self, monkeypatch, full_weights, t):
+        w = full_weights[0]
+        p = make_rng(t).standard_normal((t, 64)).astype(np.float32)
+        see_cpus(monkeypatch, 1)
+        inline = ssd_block(p, w, "skfm0.fwd.")
+        see_cpus(monkeypatch, 2)
+        calls = record_layer_norms(monkeypatch)
+        split = ssd_block(p, w, "skfm0.fwd.")
+        # two layer norms, each over the caller's rows 0..mid and the
+        # worker's mid..t, mid a multiple of 16
+        me = threading.get_ident()
+        mid = t // 32 * 16
+        assert sorted(rows for thread, rows in calls if thread == me) == [mid, mid]
+        assert sorted(rows for thread, rows in calls if thread != me) == [t - mid, t - mid]
+        s = SPLIT // 2  # a multiple of 16 below the split: runs inline
+        prefix = ssd_block(p[:s], w, "skfm0.fwd.")
+        if conftest.sgemm_rows_independent():
+            assert np.array_equal(split, inline)
+            assert np.array_equal(split[:s], prefix)
+        else:  # the rows' matmuls differ in their last bits, split or not
+            np.testing.assert_allclose(split, inline, rtol=0, atol=1e-5)
+            np.testing.assert_allclose(split[:s], prefix, rtol=0, atol=1e-5)
+
+    def test_conv_halo_crosses_the_split(self, monkeypatch, full_weights):
+        # with every decay 0 the scan keeps no state, so a row reaches later
+        # rows only through the causal conv: changing row mid-1 changes
+        # rows mid-1 .. mid+K-2, the last K-1 of them in the worker's half
+        k, t, mid = 4, 3072, 1536
+        w = {**full_weights[0], "skfm0.fwd.a.weight": np.zeros((64, 1), dtype=np.float32),
+             "skfm0.fwd.a.bias": np.float32([120.0])}
+        assert w["skfm0.fwd.conv.kernel"].shape[0] == k
+        see_cpus(monkeypatch, 2)
+        p = make_rng(9).standard_normal((t, 64)).astype(np.float32)
+        q = p.copy()
+        q[mid - 1] += 1.0
+        a, b = ssd_block(p, w, "skfm0.fwd."), ssd_block(q, w, "skfm0.fwd.")
+        changed = np.flatnonzero(np.any(a != b, axis=-1))
+        assert changed.tolist() == list(range(mid - 1, mid + k - 1))
+
+    def test_weight_batch_equals_unbatched_bitwise(self, monkeypatch, full_weights):
+        see_cpus(monkeypatch, 2)
+        stacked = stacked_weights(*full_weights)
+        p = make_rng(2).standard_normal((2 * SPLIT + 1, 64)).astype(np.float32)
+        got = ssd_block(np.stack([p, p]), stacked, "skfm1.bwd.")
+        assert got.shape == (2,) + p.shape
+        for i in range(2):
+            assert np.array_equal(got[i], ssd_block(p, full_weights[i], "skfm1.bwd."))
+
+    def test_caller_waits_for_the_worker_half_and_reraises_it(self, monkeypatch):
+        see_cpus(monkeypatch, 2)
+        ran = []
+
+        def caller_fails(lo, hi):
+            if lo == 0:
+                raise KeyError("caller half")
+            time.sleep(0.05)
+            ran.append((lo, hi, threading.get_ident()))
+
+        with pytest.raises(KeyError, match="caller half"):
+            model_mod._by_rows(caller_fails, 3072)
+        assert len(ran) == 1 and ran[0][:2] == (1536, 3072)
+        assert ran[0][2] != threading.get_ident()
+
+        def worker_fails(lo, hi):
+            if lo:
+                raise KeyError("worker half")
+
+        with pytest.raises(KeyError, match="worker half"):
+            model_mod._by_rows(worker_fails, 3072)
+
+    def test_worker_half_runs_under_the_callers_error_state(self, monkeypatch, full_weights):
+        # only rows of the worker's half overflow the first layer norm; with
+        # warnings ignored, only the caller's error state, carried to the
+        # worker, refuses them
+        p = make_rng(3).standard_normal((3072, 64)).astype(np.float32)
+        p[1536:] *= 1e30
+        see_cpus(monkeypatch, 2)
+        with warnings.catch_warnings(), np.errstate(over="raise"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match="overflow"):
+                ssd_block(p, full_weights[0], "skfm0.fwd.")
+
+    def test_overflow_in_the_worker_half_names_its_layer(self, monkeypatch):
+        # frames 48.. fill mixed rows 1536.. of the 3072, the forward
+        # branch's worker half; a warning in place of the error would escape
+        config = ModelConfig(n_tfm=0, scan_strategy="fks")
+        x = make_rng(3).standard_normal((96, 36))
+        x[48:] *= 1e20
+        see_cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match=r"first in layer 'skfm0\.'$"):
+                kinest_forward(x, config, init_weights(config))
+
+    def test_one_cpu_runs_inline(self, monkeypatch, full_weights):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        calls = record_layer_norms(monkeypatch)
+        p = make_rng(1).standard_normal((3072, 64)).astype(np.float32)
+        ssd_block(p, full_weights[0], "skfm0.fwd.")
+        assert calls == [(threading.get_ident(), 3072)] * 2
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_forked_child_starts_its_own_worker(self, monkeypatch, full_weights):
+        # the child inherits no worker thread; a split that waited on the
+        # parent's would never finish
+        config = ModelConfig(scan_strategy="fks")
+        x = make_rng(4).standard_normal((96, 36))
+        see_cpus(monkeypatch, 2)
+        want = kinest_forward(x, config, full_weights[0])
+        ctx = multiprocessing.get_context("fork")
+        here, there = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: there.send_bytes(
+            kinest_forward(x, config, full_weights[0]).tobytes()))
+        child.start()
+        try:
+            assert here.poll(60), "the forked child's forward did not finish"
+            got = here.recv_bytes()
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert child.exitcode == 0
+        assert got == want.tobytes()
 
 
 class TestBiSsd:

@@ -9,6 +9,8 @@ a benchmark run."""
 import importlib
 import pathlib
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +68,52 @@ def test_traced_forward_yields_every_span_metric(bench, scan):
               if not key.startswith(("setup.", "ssd.kernel.", "trace."))}
     assert "kinematics.gather.ms" in wanted and "kinematics.scatter.ms" in wanted
     assert wanted <= measured, sorted(wanted - measured)
+
+
+def test_full_scale_trace_stays_on_the_calling_thread(bench, monkeypatch):
+    # the micro configs above never reach ssd_block's row split, which runs
+    # the long FKS mixed axis on two threads; the one span stack stays
+    # whole only while every wrapped call runs on the calling thread
+    threads = []
+
+    class ThreadTracer(bench["spans"].Tracer):
+        def _call(self, namer, fn, args, kwargs):
+            threads.append(threading.get_ident())
+            return super()._call(namer, fn, args, kwargs)
+
+        def _counter(self, fn, name):
+            count = super()._counter(fn, name)
+
+            def wrapper(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return count(*args, **kwargs)
+            return wrapper
+
+    monkeypatch.setattr(model, "_cpu_count", lambda: 2)
+    config = ModelConfig(scan_strategy="fks", seed=0)
+    weights = init_weights(config)
+    x = _window(bench, config)
+    tracer = ThreadTracer()
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        with tracer.op(0):
+            model.kinest_forward(x, config, weights)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+    finally:
+        tracer.uninstall()
+    assert len(threads) > 0 and set(threads) == {threading.get_ident()}
+    summary = bench["spans"].op_summaries(tracer)[0]  # refuses a negative self time
+    wanted = {key for key in bench["run"].PER_LAYER
+              if not key.startswith(("setup.", "ssd.kernel.", "trace."))}
+    measured = {*summary["self_ms"], *summary["counts"], *summary["train_ms"]}
+    assert wanted <= measured, sorted(wanted - measured)
+    assert min(summary["self_ms"].values()) >= 0.0
+    total = sum(summary["self_ms"].values())
+    assert abs(total - wall_ms) <= bench["run"].SELF_TIME_TOL * wall_ms
+    assert summary["counts"]["ssd.scan.calls"] == 8
+    assert summary["counts"]["ssd.decay_builds"] == 8
+    assert summary["counts"]["ssd.mixed_len"] == 3072
 
 
 def test_traced_forward_names_each_layer(bench):
