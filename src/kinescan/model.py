@@ -20,6 +20,7 @@ weights: weights stacked to shape (B,) + shape give B forwards in one
 call, each bit-identical to its unbatched forward. Time is always axis -2.
 """
 
+import math
 import os
 import queue
 import threading
@@ -60,9 +61,12 @@ _LN_EPS = 1e-5
 _DECAY_BIAS = float(np.log(np.expm1(-np.log(0.9))))
 # every seed, a config's or a command's, is a PCG64 seed below this
 SEED_LIMIT = 2 ** 64
-# ssd_block runs its row-local stages as two row halves, one on a worker
-# thread, on a scan axis at least this long (see _by_rows)
+# a block runs its stages as two halves, one on a worker thread, from this
+# many rows or this many multiply-adds in its largest stage (see _halves)
 _SPLIT_ROWS = 1024
+_SPLIT_MACS = 28_000_000
+# ssd_block keeps scratch arrays for this many shapes per thread
+_SCRATCH_SHAPES = 4
 
 
 @dataclass(frozen=True)
@@ -248,6 +252,13 @@ def _linear(x, weights, name, out=None):
     return out
 
 
+def _lead(x, w):
+    """The leading batch axes that x, a (..., T, W) input, and w, a
+    (..., M, N) weight, broadcast to."""
+    a, b = x.shape[:-2], w.shape[:-2]
+    return a if a == b or not b else b if not a else np.broadcast_shapes(a, b)
+
+
 def _layer_norm(x, weights, name):
     """Layer norm over the last axis, then * weights[name + ".scale"]
     + weights[name + ".bias"], both broadcast as in ``_linear``."""
@@ -257,7 +268,11 @@ def _layer_norm(x, weights, name):
     d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(np.square(d), axis=-1, keepdims=True) / n
     d /= np.sqrt(var + _LN_EPS)
-    d *= weights[name + ".scale"][..., None, :]
+    scale = weights[name + ".scale"][..., None, :]
+    if d.shape[-scale.ndim:-2] == scale.shape[:-2]:
+        d *= scale
+    else:  # weights stacked over axes x lacks: d takes their shape
+        d = d * scale
     d += weights[name + ".bias"][..., None, :]
     return d
 
@@ -341,31 +356,71 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _by_rows(stage, t):
-    """Run stage(lo, hi) over rows 0..t.
+def _halves(lead, rows, row_macs):
+    """Whether a block over ``rows`` rows with leading axes ``lead``, whose
+    largest stage does ``row_macs`` multiply-adds per row, runs its stages
+    as two halves: from _SPLIT_ROWS rows or _SPLIT_MACS multiply-adds, and
+    on two CPUs or more. A split costs each stage a hand-off to the worker
+    and back; the constants are where splitting measured faster."""
+    macs = math.prod(lead) * rows * row_macs
+    return (rows >= _SPLIT_ROWS or macs >= _SPLIT_MACS) and _cpu_count() > 1
 
-    Below _SPLIT_ROWS rows, or on one CPU, one call covers them all. Else
-    the worker thread runs rows mid..t while this thread runs rows 0..mid.
-    The stage must give every row the bits one call would, and write only
-    its own rows. mid is a multiple of 16 rows: OpenBLAS's float32
+
+def _split(stage, n, halves):
+    """Run stage(lo, hi) over n independent units: rows, or attention heads.
+
+    Without ``halves`` one call covers them all. Else the worker thread
+    runs units mid..n while this thread runs units 0..mid. The stage must
+    give every unit the bits one call would, and write only its own units.
+    mid is a multiple of 16 from 32 units on: OpenBLAS's float32
     matrix-vector kernel (the decay projection) takes rows in groups of
     four, and a split off that grid (T=3071 at 1535) moved last bits. This
     thread waits for the worker's half before it returns or raises, and
     re-raises what that half raised.
     """
-    if t < _SPLIT_ROWS or _cpu_count() < 2:
-        stage(0, t)
+    if not halves:
+        stage(0, n)
         return
-    mid = t // 32 * 16
+    mid = n // 32 * 16 or n // 2
     done, raised = threading.Lock(), []
     done.acquire()
-    _row_jobs().put((stage, mid, t, np.geterr(), done, raised))
+    _row_jobs().put((stage, mid, n, np.geterr(), done, raised))
     try:
         stage(0, mid)
     finally:
         done.acquire()
     if raised:
         raise raised[0]
+
+
+def _split_linear(x, weights, name):
+    """``_linear`` into a fresh array, its rows run through ``_split``."""
+    w = weights[name + ".weight"]
+    lead, length = _lead(x, w), x.shape[-2]
+    out = np.empty(lead + (length, w.shape[-1]), np.result_type(x, w))
+    _split(lambda lo, hi: _linear(x[..., lo:hi, :], weights, name, out=out[..., lo:hi, :]),
+           length, _halves(lead, length, w.shape[-2] * w.shape[-1]))
+    return out
+
+
+_scratch = threading.local()
+
+
+def _ssd_scratch(shape, dtype):
+    """ssd_block's pre, xbc (both of ``shape``) and decay arrays: the same
+    three on every call from this thread with this shape and dtype, the
+    last _SCRATCH_SHAPES such keys kept. A warm forward then allocates
+    none of them: on glibc's default heap their fresh pages cost thousands
+    of page faults per full-scale forward."""
+    cache = _scratch.__dict__.setdefault("ssd", {})
+    key = (shape, np.dtype(dtype))
+    arrays = cache.pop(key, None)
+    if arrays is None:
+        while len(cache) >= _SCRATCH_SHAPES:
+            del cache[next(iter(cache))]
+        arrays = (np.empty(shape, dtype), np.empty(shape, dtype), np.empty(shape[:-1], dtype))
+    cache[key] = arrays
+    return arrays
 
 
 def embed(x: np.ndarray, weights: dict) -> np.ndarray:
@@ -388,15 +443,16 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
     f1 = SiLU(Linear(LN(p))) and projected out through a second layer norm.
 
     The stages before and after the scan act on each row, or on causal
-    rows, alone; they run through ``_by_rows`` into arrays made here.
+    rows, alone; they run through ``_split`` into this thread's scratch
+    arrays and a fresh output array.
     """
     t, width = p.shape[-2:]
     kernel = weights[prefix + "conv.kernel"]
-    lead = np.broadcast_shapes(p.shape[:-2], kernel.shape[:-2])
+    lead = _lead(p, kernel)
     dtype = np.result_type(p, kernel)
-    pre, xbc = (np.empty(lead + (t, kernel.shape[-1]), dtype) for _ in range(2))
+    pre, xbc, a = _ssd_scratch(lead + (t, kernel.shape[-1]), dtype)
     gate = np.empty(lead + (t, width), dtype)  # then the output, row by row
-    a = np.empty(lead + (t,), dtype)
+    halves = _halves(lead, t, width * (kernel.shape[-1] + 1 + width))
 
     def project(lo, hi):
         z = _layer_norm(p[..., lo:hi, :], weights, prefix + "ln")
@@ -414,14 +470,14 @@ def ssd_block(p: np.ndarray, weights: dict, prefix: str) -> np.ndarray:
         g *= y[..., lo:hi, :]
         _linear(_layer_norm(g, weights, prefix + "out_ln"), weights, prefix + "out", out=g)
 
-    _by_rows(project, t)
-    _by_rows(conv, t)
+    _split(project, t, halves)
+    _split(conv, t, halves)
     state = (xbc.shape[-1] - width) // 2
     y = chunked_scan(
         SsdParams(a=a, b=xbc[..., width : width + state],
                   c=xbc[..., width + state :], x=xbc[..., :width])
     )
-    _by_rows(gate_out, t)
+    _split(gate_out, t, halves)
     return gate
 
 
@@ -447,25 +503,46 @@ def gma(f: np.ndarray, weights: dict, prefix: str, heads: int) -> np.ndarray:
     self-attention and a SiLU feed-forward, each with a residual connection.
 
     There is no positional encoding, so the block is permutation equivariant
-    over frames.
+    over frames. Three stages run through ``_split``: the in-projection, LN
+    and q/k/v over rows, attention over heads, and the rest over rows.
     """
-    g = _linear(f, weights, prefix + "in")
-    z = _layer_norm(g, weights, prefix + "ln1")
-    q, k, v = (_linear(z, weights, prefix + name) for name in ("q", "k", "v"))
-    length, hidden = q.shape[-2:]
+    w_in = weights[prefix + "in.weight"]
+    length, hidden = f.shape[-2], weights[prefix + "q.weight"].shape[-1]
+    lead = _lead(f, w_in)
+    dtype = np.result_type(f, w_in)
     dim = hidden // heads
-    # (..., heads, L, dim)
-    q, k, v = (m.reshape(m.shape[:-1] + (heads, dim)).swapaxes(-3, -2) for m in (q, k, v))
-    logits = (q @ k.swapaxes(-1, -2)) / q.dtype.type(np.sqrt(dim))
-    logits -= logits.max(axis=-1, keepdims=True)
-    att = np.exp(logits)
-    att /= att.sum(axis=-1, keepdims=True)
-    ctx = (att @ v).swapaxes(-3, -2).reshape(q.shape[:-3] + (length, hidden))
-    g = g + _linear(ctx, weights, prefix + "proj")
+    g = np.empty(lead + (length, w_in.shape[-1]), dtype)
+    qkv = np.empty((3,) + lead + (length, hidden), dtype)
+    ctx = np.empty(lead + (length, hidden), dtype)
+    # (..., heads, L, dim) views of q, k, v and ctx
+    q, k, v, ctx_h = (m.reshape(m.shape[:-1] + (heads, dim)).swapaxes(-3, -2)
+                      for m in (*qkv, ctx))
+    halves = _halves(lead, length, w_in.shape[-2] * (w_in.shape[-1] + 3 * hidden))
 
-    z = _layer_norm(g, weights, prefix + "ln2")
-    ff = _silu(_linear(z, weights, prefix + "ffn1"))
-    return g + _linear(ff, weights, prefix + "ffn2")
+    def attend_in(lo, hi):
+        rows = _linear(f[..., lo:hi, :], weights, prefix + "in", out=g[..., lo:hi, :])
+        z = _layer_norm(rows, weights, prefix + "ln1")
+        for m, name in zip(qkv, "qkv"):
+            _linear(z, weights, prefix + name, out=m[..., lo:hi, :])
+
+    def attend(lo, hi):
+        logits = (q[..., lo:hi, :, :] @ k[..., lo:hi, :, :].swapaxes(-1, -2))
+        logits /= dtype.type(np.sqrt(dim))
+        logits -= logits.max(axis=-1, keepdims=True)
+        att = np.exp(logits, out=logits)
+        att /= att.sum(axis=-1, keepdims=True)
+        np.matmul(att, v[..., lo:hi, :, :], out=ctx_h[..., lo:hi, :, :])
+
+    def feed_forward(lo, hi):
+        rows = g[..., lo:hi, :]
+        rows += _linear(ctx[..., lo:hi, :], weights, prefix + "proj")
+        z = _layer_norm(rows, weights, prefix + "ln2")
+        rows += _linear(_silu(_linear(z, weights, prefix + "ffn1")), weights, prefix + "ffn2")
+
+    _split(attend_in, length, halves)
+    _split(attend, heads, halves)
+    _split(feed_forward, length, halves)
+    return g
 
 
 def tfm_forward(p: np.ndarray, weights: dict, prefix: str,
@@ -486,7 +563,7 @@ def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
     axis, scatter back to canonical joints (summing positions a
     non-permutation order visits twice), project H -> E, then LMA and GMA.
     """
-    h = _linear(t_in, weights, prefix + "in")
+    h = _split_linear(t_in, weights, prefix + "in")
     if h.shape[-1] != config.mixed_hidden:
         raise ValueError(
             f"mixed hidden {h.shape[-1]} does not match J*D = {config.mixed_hidden}"
@@ -500,7 +577,8 @@ def stmm_forward(t_in: np.ndarray, weights: dict, prefix: str,
     f_f, f_b = bi_ssd(flat, weights, prefix)
     mixed = (f_f + f_b).reshape(lead + (length, len(order), config.joint_dim))
     s_out = inverse_reorder_joint_features(mixed, order)
-    e = _linear(s_out.reshape(lead + (length, config.mixed_hidden)), weights, prefix + "out")
+    e = _split_linear(s_out.reshape(lead + (length, config.mixed_hidden)), weights,
+                      prefix + "out")
     e = lma(e, weights, prefix + "lma.")
     return gma(e, weights, prefix + "gma.", config.gma_heads)
 

@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import multiprocessing
 import os
+import platform
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -29,6 +32,7 @@ from kinescan.model import (
     parameter_count,
     ssd_block,
     stmm_forward,
+    tfm_forward,
 )
 from kinescan.ssd import SsdParams, ssm_recurrence
 
@@ -336,6 +340,17 @@ class TestSsdBlock:
         assert np.array_equal(a[:15], b[:15])
         assert not np.array_equal(a[15:], b[15:])
 
+    def test_scratch_keeps_the_last_shapes_and_outputs_stay_fresh(self):
+        _, w = micro_weights()
+        p = make_rng(6).standard_normal((7, 16)).astype(np.float32)
+        first = ssd_block(p, w, "tfm0.fwd.")
+        for t in range(1, 7):
+            ssd_block(p[:t], w, "tfm0.fwd.")
+        # four shapes are kept, the most recent last
+        assert [shape[0] for shape, _ in model_mod._scratch.ssd] == [3, 4, 5, 6]
+        again = ssd_block(p, w, "tfm0.fwd.")
+        assert np.array_equal(again, first) and not np.shares_memory(again, first)
+
 
 SPLIT = model_mod._SPLIT_ROWS
 
@@ -363,6 +378,15 @@ def record_layer_norms(monkeypatch):
     return calls
 
 
+def assert_split_matches(split, inline):
+    """Bit for bit where the BLAS gives each row its bits whatever rows share
+    the call; else within the rows' last-bit spread."""
+    if conftest.sgemm_rows_independent():
+        assert np.array_equal(split, inline)
+    else:  # the rows' matmuls differ in their last bits, split or not
+        np.testing.assert_allclose(split, inline, rtol=0, atol=1e-5)
+
+
 class TestRowSplit:
     """At SPLIT rows or more, ssd_block runs its row-local stages as two
     row halves, the second on a worker thread; every row keeps its bits."""
@@ -383,13 +407,8 @@ class TestRowSplit:
         assert sorted(rows for thread, rows in calls if thread == me) == [mid, mid]
         assert sorted(rows for thread, rows in calls if thread != me) == [t - mid, t - mid]
         s = SPLIT // 2  # a multiple of 16 below the split: runs inline
-        prefix = ssd_block(p[:s], w, "skfm0.fwd.")
-        if conftest.sgemm_rows_independent():
-            assert np.array_equal(split, inline)
-            assert np.array_equal(split[:s], prefix)
-        else:  # the rows' matmuls differ in their last bits, split or not
-            np.testing.assert_allclose(split, inline, rtol=0, atol=1e-5)
-            np.testing.assert_allclose(split[:s], prefix, rtol=0, atol=1e-5)
+        assert_split_matches(split, inline)
+        assert_split_matches(split[:s], ssd_block(p[:s], w, "skfm0.fwd."))
 
     def test_conv_halo_crosses_the_split(self, monkeypatch, full_weights):
         # with every decay 0 the scan keeps no state, so a row reaches later
@@ -427,7 +446,7 @@ class TestRowSplit:
             ran.append((lo, hi, threading.get_ident()))
 
         with pytest.raises(KeyError, match="caller half"):
-            model_mod._by_rows(caller_fails, 3072)
+            model_mod._split(caller_fails, 3072, True)
         assert len(ran) == 1 and ran[0][:2] == (1536, 3072)
         assert ran[0][2] != threading.get_ident()
 
@@ -436,7 +455,7 @@ class TestRowSplit:
                 raise KeyError("worker half")
 
         with pytest.raises(KeyError, match="worker half"):
-            model_mod._by_rows(worker_fails, 3072)
+            model_mod._split(worker_fails, 3072, True)
 
     def test_worker_half_runs_under_the_callers_error_state(self, monkeypatch, full_weights):
         # only rows of the worker's half overflow the first layer norm; with
@@ -493,6 +512,83 @@ class TestRowSplit:
                 child.join(10)
         assert child.exitcode == 0
         assert got == want.tobytes()
+
+
+class TestBlockSplit:
+    """At full scale the GMA (rows, then heads, then rows) and the SKFM lift
+    and output projection also run as two halves; small blocks run inline."""
+
+    def test_gma_split_equals_one_cpu(self, monkeypatch, full_weights):
+        f = make_rng(5).standard_normal((96, 256)).astype(np.float32)
+        see_cpus(monkeypatch, 1)
+        inline = gma(f, full_weights[0], "tfm0.gma.", 8)
+        see_cpus(monkeypatch, 2)
+        calls = record_layer_norms(monkeypatch)
+        split = gma(f, full_weights[0], "tfm0.gma.", 8)
+        # ln1 and ln2, each over rows 0..48 here and 48..96 on the worker
+        me = threading.get_ident()
+        assert [rows for thread, rows in calls if thread == me] == [48, 48]
+        assert [rows for thread, rows in calls if thread != me] == [48, 48]
+        assert_split_matches(split, inline)
+
+    def test_stmm_split_equals_one_cpu(self, monkeypatch, full_weights):
+        config = ModelConfig(scan_strategy="fks")
+        t_in = make_rng(6).standard_normal((96, 256)).astype(np.float32)
+        see_cpus(monkeypatch, 1)
+        inline = stmm_forward(t_in, full_weights[0], "skfm0.", config)
+        see_cpus(monkeypatch, 2)
+        calls = record_layer_norms(monkeypatch)
+        split = stmm_forward(t_in, full_weights[0], "skfm0.", config)
+        # four SSD layer norms over 1536 mixed rows and the GMA's two over 48
+        # frames on each thread; the LMA's (96 frames) stays here
+        me = threading.get_ident()
+        assert sorted(rows for thread, rows in calls if thread != me) == [48] * 2 + [1536] * 4
+        assert sorted(rows for thread, rows in calls if thread == me) == \
+            [48] * 2 + [96] + [1536] * 4
+        assert_split_matches(split, inline)
+
+    def test_small_blocks_run_inline(self, monkeypatch):
+        # the full-scale TFM ssd_block and LMA, and every micro block
+        see_cpus(monkeypatch, 2)
+        calls = record_layer_norms(monkeypatch)
+        config = ModelConfig(n_tfm=1, m_skfm=0)
+        tfm_forward(make_rng(7).standard_normal((96, 256)).astype(np.float32),
+                    init_weights(config), "tfm0.", config)
+        # two SSD blocks (2 each), the LMA (1) here; the GMA (2) split
+        assert sorted(rows for thread, rows in calls if thread == threading.get_ident()) \
+            == [48] * 2 + [96] * 5
+        calls.clear()
+        config, w = micro_weights()
+        kinest_forward(make_rng(8).standard_normal((24, 36)), config, w)
+        assert {thread for thread, _ in calls} == {threading.get_ident()}
+
+    def test_weight_batch_equals_unbatched_bitwise(self, monkeypatch, full_weights):
+        see_cpus(monkeypatch, 2)
+        stacked = stacked_weights(*full_weights)
+        config = ModelConfig(scan_strategy="fks")
+        f = make_rng(9).standard_normal((96, 256)).astype(np.float32)
+        got_gma = gma(f, stacked, "skfm1.gma.", 8)
+        got_stmm = stmm_forward(f, stacked, "skfm1.", config)
+        for i in range(2):
+            assert np.array_equal(got_gma[i], gma(f, full_weights[i], "skfm1.gma.", 8))
+            assert np.array_equal(got_stmm[i],
+                                  stmm_forward(f, full_weights[i], "skfm1.", config))
+
+    def test_overflow_in_the_worker_half_of_a_gma_names_its_layer(self, monkeypatch):
+        # q and k of heads 4..7, the worker's half of the attention stage,
+        # are scaled until their logits overflow; a warning in place of the
+        # error would escape the worker
+        config = ModelConfig(n_tfm=1, m_skfm=0)
+        w = dict(init_weights(config))
+        for name in ("tfm0.gma.q.weight", "tfm0.gma.k.weight"):
+            w[name] = w[name].copy()
+            w[name][:, 256:] *= np.float32(1e25)
+        x = make_rng(10).standard_normal((96, 36))
+        see_cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError, match=r"first in layer 'tfm0\.'$"):
+                kinest_forward(x, config, w)
 
 
 class TestBiSsd:
@@ -788,6 +884,17 @@ class TestWeightBatch:
         for i in range(2):
             assert np.array_equal(got[i], kinest_forward(x, configs[0], weights[i]))
 
+    @pytest.mark.parametrize("layer", ["ssd_block", "lma", "gma"])
+    def test_unbatched_input_with_stacked_weights(self, rng, layer):
+        # the layer norms broadcast the input up to the weights' batch
+        _, w0 = micro_weights()
+        _, w1 = micro_weights(seed=1)
+        fn = {"ssd_block": lambda w: ssd_block(p, w, "tfm0.fwd."),
+              "lma": lambda w: lma(p, w, "tfm0.lma."),
+              "gma": lambda w: gma(p, w, "tfm0.gma.", 2)}[layer]
+        p = rng.standard_normal((24, 16)).astype(np.float32)
+        assert np.array_equal(fn(stacked_weights(w0, w1)), np.stack([fn(w0), fn(w1)]))
+
     def test_batched_input_equals_unbatched_bitwise(self, rng):
         config, w = micro_weights()
         x = rng.standard_normal((2, 24, 36)).astype(np.float32)
@@ -858,6 +965,46 @@ class TestInferWindowed:
             infer_windowed(np.zeros((0, 36), dtype=np.float32), config, w)
 
 
+# 20 warm full-scale FKS forwards in a fresh interpreter that sets no heap
+# policy; prints the minor page faults per forward
+FAULT_SCRIPT = """
+import os, resource, sys
+import numpy as np
+import kinescan.model as model
+if sys.argv[1] == "1":
+    os.sched_getaffinity = lambda pid: {0}
+else:
+    model._cpu_count = lambda: 2
+config = model.ModelConfig(scan_strategy="fks")
+weights = model.init_weights(config)
+x = np.random.default_rng(7).standard_normal((96, 36))
+for _ in range(3):
+    model.kinest_forward(x, config, weights)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    model.kinest_forward(x, config, weights)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's default heap")
+class TestPageFaults:
+    """A warm forward reuses its pages on glibc's default heap: without
+    ssd_block's scratch arrays one CPU took about 3,400 faults per
+    full-scale FKS forward."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_warm_forward_takes_few_page_faults(self, cpus):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(model_mod.__file__)))
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("MALLOC_") and name != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = src
+        out = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, str(cpus)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) <= 50
+
+
 # sha256 of the float32 bytes of full-scale outputs with seed-0 weights, per
 # OpenBLAS kernel family: each family's matmul kernels round differently
 GOLDEN_FORWARD = {
@@ -899,6 +1046,14 @@ def sha256(a):
 
 
 class TestGolden:
+    """The digests from the split blocks (two CPUs seen) ..."""
+
+    cpus = 2
+
+    @pytest.fixture(autouse=True)
+    def cpus_seen(self, monkeypatch):
+        see_cpus(monkeypatch, self.cpus)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("strategy", sorted(SCAN_ORDERS))
     def test_full_scale_forward_bit_for_bit(self, strategy, dtype):
@@ -921,3 +1076,9 @@ class TestGolden:
         with pytest.raises(pytest.fail.Exception,
                            match=r"kernels 'Zen5'; measured: SkylakeX, Haswell, "):
             golden(GOLDEN_FORWARD)
+
+
+class TestGoldenOneCpu(TestGolden):
+    """... and the same digests from the inline blocks (one CPU seen)."""
+
+    cpus = 1

@@ -71,9 +71,10 @@ def test_traced_forward_yields_every_span_metric(bench, scan):
 
 
 def test_full_scale_trace_stays_on_the_calling_thread(bench, monkeypatch):
-    # the micro configs above never reach ssd_block's row split, which runs
-    # the long FKS mixed axis on two threads; the one span stack stays
-    # whole only while every wrapped call runs on the calling thread
+    # the micro configs above never reach the split blocks, which run the
+    # long mixed axis, the GMAs and the SKFM lift and projection on two
+    # threads; the one span stack stays whole only while every wrapped call
+    # runs on the calling thread
     threads = []
 
     class ThreadTracer(bench["spans"].Tracer):
@@ -90,30 +91,32 @@ def test_full_scale_trace_stays_on_the_calling_thread(bench, monkeypatch):
             return wrapper
 
     monkeypatch.setattr(model, "_cpu_count", lambda: 2)
-    config = ModelConfig(scan_strategy="fks", seed=0)
-    weights = init_weights(config)
-    x = _window(bench, config)
-    tracer = ThreadTracer()
-    tracer.install()
-    try:
-        t0 = time.perf_counter()
-        with tracer.op(0):
-            model.kinest_forward(x, config, weights)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-    finally:
-        tracer.uninstall()
-    assert len(threads) > 0 and set(threads) == {threading.get_ident()}
-    summary = bench["spans"].op_summaries(tracer)[0]  # refuses a negative self time
     wanted = {key for key in bench["run"].PER_LAYER
               if not key.startswith(("setup.", "ssd.kernel.", "trace."))}
-    measured = {*summary["self_ms"], *summary["counts"], *summary["train_ms"]}
-    assert wanted <= measured, sorted(wanted - measured)
-    assert min(summary["self_ms"].values()) >= 0.0
-    total = sum(summary["self_ms"].values())
-    assert abs(total - wall_ms) <= bench["run"].SELF_TIME_TOL * wall_ms
-    assert summary["counts"]["ssd.scan.calls"] == 8
-    assert summary["counts"]["ssd.decay_builds"] == 8
-    assert summary["counts"]["ssd.mixed_len"] == 3072
+    # scan calls, decay builds and mixed-axis length per strategy
+    for scan, counts in (("fks", (8, 8, 3072)), ("uks", (8, 8, 2112))):
+        threads.clear()
+        config = ModelConfig(scan_strategy=scan, seed=0)
+        weights = init_weights(config)
+        x = _window(bench, config)
+        tracer = ThreadTracer()
+        tracer.install()
+        try:
+            t0 = time.perf_counter()
+            with tracer.op(0):
+                model.kinest_forward(x, config, weights)
+            wall_ms = (time.perf_counter() - t0) * 1e3
+        finally:
+            tracer.uninstall()
+        assert len(threads) > 0 and set(threads) == {threading.get_ident()}, scan
+        summary = bench["spans"].op_summaries(tracer)[0]  # refuses a negative self time
+        measured = {*summary["self_ms"], *summary["counts"], *summary["train_ms"]}
+        assert wanted <= measured, sorted(wanted - measured)
+        assert min(summary["self_ms"].values()) >= 0.0
+        total = sum(summary["self_ms"].values())
+        assert abs(total - wall_ms) <= bench["run"].SELF_TIME_TOL * wall_ms, scan
+        assert (summary["counts"]["ssd.scan.calls"], summary["counts"]["ssd.decay_builds"],
+                summary["counts"]["ssd.mixed_len"]) == counts
 
 
 def test_traced_forward_names_each_layer(bench):
