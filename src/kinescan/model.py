@@ -23,6 +23,7 @@ call, each bit-identical to its unbatched forward. Time is always axis -2.
 import math
 import os
 import queue
+import re
 import threading
 from dataclasses import dataclass
 
@@ -307,49 +308,38 @@ def _causal_depthwise_conv(x, kernel, bias, lo, out):
     return out
 
 
-_rows_lock = threading.Lock()
-_rows_jobs = None  # the worker thread's job queue, once it has started
-
-
-def _forget_row_worker():
-    """A forked child has no worker thread: the next split starts one."""
-    global _rows_lock, _rows_jobs
-    _rows_lock, _rows_jobs = threading.Lock(), None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_row_worker)
+_worker = {}  # "jobs": the worker thread's job queue, once it has started
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_worker.clear)
 
 
 def _serve_rows(jobs):
-    """The worker thread: run each job's stage over its rows under the error
-    state of the thread that sent it, keep what it raised, then release the
-    job's lock."""
+    """The worker thread: run each job's stage over its rows under the
+    sender's error state, then reply with what it raised, or None."""
     while True:
-        stage, lo, hi, errstate, done, raised = jobs.get()
+        stage, lo, hi, errstate, reply = jobs.get()
         try:
             with np.errstate(**errstate):
                 stage(lo, hi)
         except BaseException as exc:  # re-raised on the sending thread
-            raised.append(exc)
-        finally:
-            done.release()
-
-
-def _row_jobs():
-    """The worker thread's job queue; the thread starts on first use."""
-    global _rows_jobs
-    with _rows_lock:
-        if _rows_jobs is None:
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve_rows, args=(jobs,), name="kinescan-rows",
-                             daemon=True).start()
-            _rows_jobs = jobs
-        return _rows_jobs
+            reply.put(exc)
+        else:
+            reply.put(None)
 
 
 def _cpu_count():
-    """The CPUs this process may run on."""
+    """The CPUs the forward may split its blocks across: those this process
+    may run on when OpenBLAS runs one thread, else 1, leaving the spare
+    cores to OpenBLAS's own threads. OpenBLAS reads its thread count, as
+    C's atoi, from the first of these variables that holds a positive
+    integer; with none it runs one thread per CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        found = re.match(r"\s*([+-]?[0-9]+)", os.environ.get(name, ""))
+        threads = int(found[1]) if found else 0
+        if threads > 0:
+            break
+    if threads != 1:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -360,8 +350,9 @@ def _halves(lead, rows, row_macs):
     """Whether a block over ``rows`` rows with leading axes ``lead``, whose
     largest stage does ``row_macs`` multiply-adds per row, runs its stages
     as two halves: from _SPLIT_ROWS rows or _SPLIT_MACS multiply-adds, and
-    on two CPUs or more. A split costs each stage a hand-off to the worker
-    and back; the constants are where splitting measured faster."""
+    where ``_cpu_count`` gives two CPUs or more. A split costs each stage a
+    hand-off to the worker and back; the constants are where splitting
+    measured faster."""
     macs = math.prod(lead) * rows * row_macs
     return (rows >= _SPLIT_ROWS or macs >= _SPLIT_MACS) and _cpu_count() > 1
 
@@ -376,21 +367,29 @@ def _split(stage, n, halves):
     matrix-vector kernel (the decay projection) takes rows in groups of
     four, and a split off that grid (T=3071 at 1535) moved last bits. This
     thread waits for the worker's half before it returns or raises, and
-    re-raises what that half raised.
+    re-raises what that half raised. The first split in a process, of
+    concurrent ones the one whose queue ``_worker`` keeps, starts the worker.
     """
     if not halves:
         stage(0, n)
         return
     mid = n // 32 * 16 or n // 2
-    done, raised = threading.Lock(), []
-    done.acquire()
-    _row_jobs().put((stage, mid, n, np.geterr(), done, raised))
+    fresh, reply = queue.SimpleQueue(), queue.SimpleQueue()
+    jobs = _worker.setdefault("jobs", fresh)  # one atomic step: one caller wins
+    if jobs is fresh:
+        try:
+            threading.Thread(target=_serve_rows, args=(jobs,), name="kinescan-rows",
+                             daemon=True).start()
+        except BaseException:  # else the next split would wait on no thread
+            _worker.clear()
+            raise
+    jobs.put((stage, mid, n, np.geterr(), reply))
     try:
         stage(0, mid)
     finally:
-        done.acquire()
-    if raised:
-        raise raised[0]
+        raised = reply.get()
+    if raised is not None:
+        raise raised
 
 
 def _split_linear(x, weights, name):

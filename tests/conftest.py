@@ -5,43 +5,63 @@ import os
 import numpy as np
 import pytest
 
+from kinescan import model
 from kinescan.kinematics import default_tree
 from kinescan.model import MICRO_CONFIG_KWARGS, ModelConfig
 
 
 def openblas():
-    """(build, kernel family) of the OpenBLAS numpy loaded, e.g.
-    ("OpenBLAS 0.3.31 ... SkylakeX MAX_THREADS=64", "SkylakeX"); None where
-    its symbols are absent."""
+    """(build, kernel family, thread count) of the OpenBLAS numpy loaded,
+    e.g. ("OpenBLAS 0.3.31 ... SkylakeX MAX_THREADS=64", "SkylakeX", 2);
+    None where its symbols are absent."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         try:
             lib = ctypes.CDLL(path)  # the library numpy already loaded
             get_config = lib.scipy_openblas_get_config64_
             get_corename = lib.scipy_openblas_get_corename64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
         except (OSError, AttributeError):
             continue
         get_config.restype = get_corename.restype = ctypes.c_char_p
-        return get_config().decode().strip(), get_corename().decode()
+        get_threads.restype = ctypes.c_int
+        return get_config().decode().strip(), get_corename().decode(), get_threads()
     return None
 
 
 def pytest_report_header(config):
-    """The OpenBLAS build and kernel family numpy loaded, so that a golden
-    failure can be read against the kernels that produced it."""
+    """The OpenBLAS build, kernel family and thread count numpy loaded, so
+    that a golden failure can be read against the kernels that produced
+    it, and whether the model may split its blocks across two threads."""
     found = openblas()
-    return f"openblas: {found[0]}; kernels: {found[1]}" if found else "openblas: unknown"
+    blas = (f"openblas: {found[0]}; kernels: {found[1]}; threads: {found[2]}" if found
+            else "openblas: unknown")
+    return f"{blas}; model split: {'yes' if model._cpu_count() > 1 else 'no'}"
+
+
+class ByThreads(dict):
+    """A kernel family's golden values keyed by the OpenBLAS thread count:
+    on that family the bits also follow the thread count."""
 
 
 def golden(table):
-    """``table[family]`` for the OpenBLAS kernel family numpy loaded: golden
-    values hold bit for bit on the family they were measured on. Fails,
-    naming the family and the measured ones, where none were measured."""
-    family = (openblas() or ("", "unknown"))[1]
+    """``table[family]`` for the OpenBLAS kernel family numpy loaded, taken
+    at its thread count where that is a ``ByThreads``: golden values hold
+    bit for bit on the family (and thread count) they were measured on.
+    Fails, naming the family and the measured ones, where none were
+    measured."""
+    found = openblas() or ("", "unknown")
+    family = found[1]
     if family not in table:
         pytest.fail(f"no golden values measured for OpenBLAS kernels {family!r}; "
                     f"measured: {', '.join(table)}")
-    return table[family]
+    values = table[family]
+    if isinstance(values, ByThreads):
+        if found[2] not in values:
+            pytest.fail(f"no golden values measured for OpenBLAS kernels {family!r} "
+                        f"at {found[2]} threads; measured: {', '.join(map(str, values))}")
+        values = values[found[2]]
+    return values
 
 
 def sgemm_rows_independent():

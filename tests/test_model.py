@@ -37,7 +37,7 @@ from kinescan.model import (
 from kinescan.ssd import SsdParams, ssm_recurrence
 
 import conftest
-from conftest import golden, make_rng
+from conftest import ByThreads, golden, make_rng
 
 MICRO_PARAMS = 16024
 FULL_PARAMS = 6071692
@@ -482,6 +482,7 @@ class TestRowSplit:
                 kinest_forward(x, config, init_weights(config))
 
     def test_one_cpu_runs_inline(self, monkeypatch, full_weights):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # else BLAS owns the cores
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         calls = record_layer_norms(monkeypatch)
         p = make_rng(1).standard_normal((3072, 64)).astype(np.float32)
@@ -589,6 +590,110 @@ class TestBlockSplit:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(FloatingPointError, match=r"first in layer 'tfm0\.'$"):
                 kinest_forward(x, config, w)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# one full-scale FKS forward in a fresh interpreter; prints its threads' names
+THREADS_SCRIPT = """
+import threading
+import numpy as np
+import kinescan.model as model
+config = model.ModelConfig(scan_strategy="fks")
+model.kinest_forward(np.zeros((96, 36)), config, model.init_weights(config))
+print(" ".join(thread.name for thread in threading.enumerate()))
+"""
+
+
+class TestSplitOwner:
+    """The forward splits its blocks only where OpenBLAS runs one thread;
+    else OpenBLAS's own threads take the spare cores."""
+
+    @pytest.mark.parametrize("env, cpus, seen", [
+        ({}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"GOTO_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
+        # OpenBLAS skips a variable that holds no positive integer
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    ])
+    def test_cpus_seen_follow_the_blas_thread_count(self, monkeypatch, env, cpus, seen):
+        for name in BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert model_mod._cpu_count() == seen
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    @pytest.mark.parametrize("blas_threads, workers", [(None, 0), ("1", 1)])
+    def test_fresh_forward_starts_a_worker_only_at_one_blas_thread(self, blas_threads,
+                                                                   workers):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(model_mod.__file__)))
+        env = {name: value for name, value in os.environ.items()
+               if name not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = src
+        if blas_threads:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        out = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split().count("kinescan-rows") == workers
+
+    def test_concurrent_first_splits_start_one_worker(self, monkeypatch, full_weights):
+        # more callers than the two cores, switching threads as often as the
+        # interpreter allows
+        see_cpus(monkeypatch, 2)
+        config = ModelConfig(scan_strategy="fks")
+        xs = [make_rng(s).standard_normal((96, 36)) for s in (13, 14, 15)]
+        want = [kinest_forward(x, config, full_weights[0]) for x in xs]
+        monkeypatch.setattr(model_mod, "_worker", {})
+        before = {t for t in threading.enumerate() if t.name == "kinescan-rows"}
+        start, got = threading.Barrier(len(xs)), [None] * len(xs)
+
+        def run(i):
+            start.wait()
+            got[i] = kinest_forward(xs[i], config, full_weights[0])
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        after = {t for t in threading.enumerate() if t.name == "kinescan-rows"}
+        assert len(after - before) == 1
+        for g, w in zip(got, want):
+            assert g is not None and np.array_equal(g, w)
+
+    def test_a_worker_that_failed_to_start_is_started_again(self, monkeypatch):
+        see_cpus(monkeypatch, 2)
+        monkeypatch.setattr(model_mod, "_worker", {})
+        ran = []
+
+        def stage(lo, hi):
+            ran.append((lo, hi, threading.get_ident()))
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        with monkeypatch.context() as m:
+            m.setattr(threading.Thread, "start", refuse)
+            with pytest.raises(RuntimeError, match="can't start new thread"):
+                model_mod._split(stage, 3072, True)
+        assert ran == [] and model_mod._worker == {}
+        model_mod._split(stage, 3072, True)
+        assert sorted(r[:2] for r in ran) == [(0, 1536), (1536, 3072)]
+        assert len({r[2] for r in ran}) == 2
 
 
 class TestBiSsd:
@@ -999,6 +1104,8 @@ class TestPageFaults:
         env = {name: value for name, value in os.environ.items()
                if not name.startswith("MALLOC_") and name != "GLIBC_TUNABLES"}
         env["PYTHONPATH"] = src
+        if cpus == 1:  # the affinity decides only where OpenBLAS runs one thread
+            env["OPENBLAS_NUM_THREADS"] = "1"
         out = subprocess.run([sys.executable, "-c", FAULT_SCRIPT, str(cpus)], env=env,
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
@@ -1014,12 +1121,23 @@ GOLDEN_FORWARD = {
         "uks": "9a04161ebcef3de3a06d52e8a5d948e30e30dd4d86537ae3b47d4be7d720e149",
         "fks-windowed-130": "1e81b288fc04832d03d7aad329537477094a1c63b38376e340b2902f7a7c3cb9",
     },
-    "Haswell": {
-        "index": "64f59f4e1e6e8eac6060c4f57162b0e70b764e1e89694bce74c801fc887fb407",
-        "fks": "948d091616031c3cfae8b7cbdc0ea5bb9f51c847a29d2ab398056278f127de3c",
-        "uks": "d321fe81c7ca7e8a487f6fe6659c2347758a9db4c254d424592e975e7d3474d9",
-        "fks-windowed-130": "8bf5d9cea1fa4fb9eb89e64e3376b48d41606dc8afd0cde3fe8b020099c00874",
-    },
+    # the Haswell bits also follow the BLAS thread count
+    "Haswell": ByThreads({
+        1: {
+            "index": "fd7b75d1d7915ee23832057a4ad319e2afe5d58136d5b000108b1cb4b06d5500",
+            "fks": "2b06f54d7a52d36bb76db1ec0b1e8f23cc947eb664c822de04c72aee09e1147c",
+            "uks": "24ba7248ae4eb8c0d114958e2641818f0a8bb799a415bbfbb2a221e65c9f00f6",
+            "fks-windowed-130":
+                "2d27f46fbda09340295f091f4049f9080f864a0ff097c94e9e4dd1afb2347b4b",
+        },
+        2: {
+            "index": "64f59f4e1e6e8eac6060c4f57162b0e70b764e1e89694bce74c801fc887fb407",
+            "fks": "948d091616031c3cfae8b7cbdc0ea5bb9f51c847a29d2ab398056278f127de3c",
+            "uks": "d321fe81c7ca7e8a487f6fe6659c2347758a9db4c254d424592e975e7d3474d9",
+            "fks-windowed-130":
+                "8bf5d9cea1fa4fb9eb89e64e3376b48d41606dc8afd0cde3fe8b020099c00874",
+        },
+    }),
     "Sandybridge": {
         "index": "8b65546ade6ff5d6b1255ab0ef1c570fad1326e5bab319d8e03411d72385a367",
         "fks": "50804dc94bccaff7ac6de8769a41011ce306fac983af54c0078ef8a184d25f7e",
@@ -1075,6 +1193,12 @@ class TestGolden:
         monkeypatch.setattr(conftest, "openblas", lambda: ("OpenBLAS", "Zen5"))
         with pytest.raises(pytest.fail.Exception,
                            match=r"kernels 'Zen5'; measured: SkylakeX, Haswell, "):
+            golden(GOLDEN_FORWARD)
+
+    def test_unmeasured_thread_count_fails_naming_it(self, monkeypatch):
+        monkeypatch.setattr(conftest, "openblas", lambda: ("OpenBLAS", "Haswell", 4))
+        with pytest.raises(pytest.fail.Exception,
+                           match=r"kernels 'Haswell' at 4 threads; measured: 1, 2$"):
             golden(GOLDEN_FORWARD)
 
 
